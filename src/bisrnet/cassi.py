@@ -9,8 +9,7 @@ measurement of width W + step * (n_bands - 1).
 into channel n, undoing the dispersion so every channel is spatially
 aligned with the scene (band 0 anchors the window convention). With that
 convention the aligned per-channel mask is the coded aperture itself photon
-for photon, which ``shift_mask`` constructs by mirroring the capture
-geometry.
+for photon, which is what ``shift_mask`` returns for every band.
 
 Synthetic scenes replace full reference datasets for desk-scale training:
 smooth low-frequency spatial fields whose band weights vary slowly along
@@ -83,18 +82,14 @@ def shift_back(measurement, sys):
 def shift_mask(sys):
     """Per-band masks aligned to the shift-back windows.
 
-    Band n's mask is placed at its dispersed position on the wide canvas and
-    read back through the same window shift_back uses, so channel n holds
-    exactly the mask values that modulated cube band n during capture.
+    Band n's mask sits at its dispersed position on the wide canvas, and
+    shift_back reads channel n through that same window, so channel n holds
+    exactly the mask values that modulated cube band n during capture: the
+    coded aperture itself, so the mask is broadcast over the bands into one
+    contiguous float32 array.
     """
     h, w = sys.mask2d.shape
-    out = np.empty((sys.n_bands, h, w), dtype=np.float32)
-    for n in range(sys.n_bands):
-        off = sys.step * n
-        canvas = np.zeros((h, sys.measurement_width), dtype=np.float32)
-        canvas[:, off : off + w] = sys.mask2d
-        out[n] = canvas[:, off : off + w]
-    return out
+    return np.ascontiguousarray(np.broadcast_to(sys.mask2d, (sys.n_bands, h, w)), np.float32)
 
 
 def add_shot_noise(measurement, bit_depth=11, seed=0):

@@ -18,6 +18,35 @@ approximation.
 A layer owns its cache between a forward and the matching backward; the
 single-writer contract is: never interleave two forwards of one layer
 instance before calling backward.
+
+Every layer derives from :class:`Layer`. A composite lists its sub-layers
+in ``layers``, in parameter order, and the base derives ``params``,
+``param_count`` and ``count_macs`` from them, running them in sequence so
+that each one's output size is the next one's input size. A leaf
+overrides ``params`` and ``count_macs``. A layer that keeps a cache sets
+``_cache`` in forward and takes it back with ``_pop_cache()`` in
+backward, which raises StateError when no forward came first; a composite
+without a cache of its own gets the same check from its sub-layers.
+
+Three building blocks make up the paper's modules:
+
+- :class:`VanillaBinConv` is the 1-bit convolution: sign, mean-|w| weight
+  scale, the XNOR/popcount kernel (or the dense path for 1x1 taps), and
+  its backward. :class:`BiSRConv` extends it with redistribution, RPReLU
+  and the residual; the ``Normal*`` baselines are configurations of it.
+- :class:`TwoBranch` holds two parallel BiSRConv branches, ``branch_a``
+  and ``branch_b``. :class:`BinFusionUp` concatenates them and
+  :class:`BinFusionDown` averages them.
+- :class:`Pool2` and :class:`Up2` are parameter-free 2x resamplers. Each
+  downsample and upsample module is a :class:`Chain` of one of them and
+  the layer that follows it.
+
+BiSRConv, Conv2dFP, ConvBlock, BinDownsample, BinFusionDown, BinUpsample
+and FPUp bind ``forward`` and ``backward`` in their own class body, even
+where the body only names Chain's. The benchmark's per-layer trace
+(``perfbench/tracer.py``) wraps the methods that each class defines
+itself, so a class that only inherited them would vanish from its
+per-layer times.
 """
 
 import numpy as np
@@ -83,26 +112,116 @@ def rprelu(y, beta, gamma, zeta):
     return np.where(y > g, shifted, b * shifted) + z
 
 
-def _rprelu_forward(y, beta, gamma, zeta):
-    b = beta[None, :, None, None]
-    g = gamma[None, :, None, None]
-    z = zeta[None, :, None, None]
-    shifted = y - g
-    mask = y > g
-    out = np.where(mask, shifted, b * shifted) + z
-    return out, (shifted, mask, b)
+class Layer:
+    """Base of every layer: parameters and MAC counts gathered from the
+    sub-layers in ``layers``, and the backward-before-forward guard."""
+
+    name = "layer"
+    layers = ()
+    _cache = None
+
+    def params(self):
+        return [p for layer in self.layers for p in layer.params()]
+
+    def param_count(self):
+        return sum(p.value.size for p in self.params())
+
+    def count_macs(self, h, w):
+        total = 0
+        for layer in self.layers:
+            m, h, w = layer.count_macs(h, w)
+            total += m
+        return total, h, w
+
+    def _pop_cache(self):
+        if self._cache is None:
+            raise StateError(f"{self.name}: backward() before forward()")
+        cache, self._cache = self._cache, None
+        return cache
 
 
-def _rprelu_backward(grad, cache):
-    shifted, mask, b = cache
-    gy = grad * np.where(mask, np.asarray(1, grad.dtype), b)
-    gbeta = np.where(mask, 0, grad * shifted).sum(axis=(0, 2, 3))
-    ggamma = (-gy).sum(axis=(0, 2, 3))
-    gzeta = grad.sum(axis=(0, 2, 3))
-    return gy, gbeta, ggamma, gzeta
+class _Conv(Layer):
+    """Weight and geometry shared by the convolution layers."""
+
+    def __init__(self, c_in, c_out, k, stride, pad, rng, dtype, name):
+        self.c_in, self.c_out, self.k = c_in, c_out, k
+        self.stride, self.pad = stride, pad
+        self.name = name
+        self.weight = Param(
+            f"{name}.weight", uniform_fan_in(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
+        )
+
+    def params(self):
+        return [self.weight]
+
+    def count_macs(self, h, w):
+        ho = (h + 2 * self.pad - self.k) // self.stride + 1
+        wo = (w + 2 * self.pad - self.k) // self.stride + 1
+        return self.c_in * self.c_out * self.k * self.k * ho * wo, ho, wo
 
 
-class BiSRConv:
+class VanillaBinConv(_Conv):
+    """Plain 1-bit convolution: sign the input, binarize the weights with a
+    mean-|w| scale, convolve. No redistribution, no RPReLU, no residual, so
+    zero weights really do annihilate the signal. Used by the
+    "normal"-module ablation baseline.
+
+    ``_binconv`` and ``_binconv_backward`` are the binarized convolution
+    and its straight-through backward, which BiSRConv shares.
+    """
+
+    alpha = None  # the tanh sharpness; only BiSRConv learns one
+
+    def __init__(self, c_in, c_out, k, stride, pad, rng, dtype=np.float32,
+                 ste="tanh", name="binconv"):
+        super().__init__(c_in, c_out, k, stride, pad, rng, dtype, name)
+        self.ste = ste
+
+    def _binconv(self, x, surrogate):
+        """Returns (scale * conv(sign(x), sign(w)), cache), with both signs
+        replaced by their surrogates when ``surrogate``."""
+        alpha = float(self.alpha.value) if self.alpha is not None else 1.0
+        w = self.weight.value
+        scale, w_sign = binarize_weights(w)
+        if surrogate:
+            xb = ste_value(x, self.ste, alpha).astype(x.dtype)
+            wq = ste_value(w, "clip").astype(w.dtype)
+        else:
+            xb, wq = sign(x), w_sign
+        if not surrogate and self.k in (3, 4):
+            raw = bitpack.bit_conv2d(
+                bitpack.pack(xb), bitpack.pack(wq),
+                scale=1.0, stride=self.stride, pad=self.pad, out_dtype=x.dtype,
+            )
+        else:
+            # 1x1 kernels have a single tap per channel; the dense product of
+            # {-1,+1} operands is already exact integer arithmetic.
+            raw, _ = conv2d_forward(
+                xb, wq, stride=self.stride, pad=self.pad, pad_value=-1.0
+            )
+        return np.asarray(scale, x.dtype) * raw, (x, xb, wq, w_sign, scale, raw, alpha)
+
+    def _binconv_backward(self, cache, grad):
+        """Accumulates weight.grad; returns the gradients wrt the signed
+        input and wrt x. The weight path always backpropagates through the
+        clip surrogate plus the derivative of the mean-|w| scale."""
+        x, xb, wq, w_sign, scale, raw, alpha = cache
+        gscale = float((grad * raw).sum())
+        graw = grad * np.asarray(scale, grad.dtype)
+        gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
+        w = self.weight.value
+        self.weight.grad += gwq * ste_grad(w, "clip") + (gscale / w.size) * w_sign
+        return gxb, gxb * ste_grad(x, self.ste, alpha)
+
+    def forward(self, x, surrogate=False):
+        y, self._cache = self._binconv(x, surrogate)
+        return y
+
+    def backward(self, grad_out):
+        return self._binconv_backward(self._pop_cache(), grad_out)[1]
+
+
+class BiSRConv(VanillaBinConv):
     """Channel-preserving binarized unit with a spectral-redistribution
     front end and a full-precision residual path.
 
@@ -118,15 +237,9 @@ class BiSRConv:
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
                  redistribute=True, alpha0=1.0, name="bisr"):
+        super().__init__(channels, channels, 3, 1, 1, rng, dtype, ste, name)
         self.channels = channels
-        self.ste = ste
         self.redistribute = redistribute
-        self.name = name
-        self.dtype = dtype
-        self.weight = Param(
-            f"{name}.weight",
-            uniform_fan_in(rng, (channels, channels, 3, 3), channels * 9, dtype),
-        )
         self.gain = Param(f"{name}.gain", np.ones(channels, dtype)) if redistribute else None
         self.shift = Param(f"{name}.shift", np.zeros(channels, dtype)) if redistribute else None
         self.alpha = (
@@ -137,199 +250,77 @@ class BiSRConv:
         self.beta = Param(f"{name}.beta", np.full(channels, 0.25, dtype))
         self.gamma = Param(f"{name}.gamma", np.zeros(channels, dtype))
         self.zeta = Param(f"{name}.zeta", np.zeros(channels, dtype))
-        self._cache = None
 
     def params(self):
-        ps = [self.weight]
-        if self.redistribute:
-            ps += [self.gain, self.shift]
-        if self.alpha is not None:
-            ps.append(self.alpha)
-        ps += [self.beta, self.gamma, self.zeta]
-        return ps
-
-    def param_count(self):
-        return sum(p.value.size for p in self.params())
-
-    def count_macs(self, h, w):
-        return self.channels * self.channels * 9 * h * w, h, w
-
-    def _alpha_value(self):
-        return float(self.alpha.value) if self.alpha is not None else 1.0
+        ps = [self.weight, self.gain, self.shift, self.alpha, self.beta, self.gamma, self.zeta]
+        return [p for p in ps if p is not None]
 
     def forward(self, x, surrogate=False):
         if x.shape[1] != self.channels:
             raise DimensionError(
                 f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
             )
-        alpha = self._alpha_value()
+        xr = x
         if self.redistribute:
             xr = self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
-        else:
-            xr = x
-        w = self.weight.value
-        scale = float(np.mean(np.abs(w)))
-        if surrogate:
-            xb = ste_value(xr, self.ste, alpha).astype(x.dtype)
-            wq = ste_value(w, "clip").astype(w.dtype)
-            raw, _ = conv2d_forward(xb, wq, stride=1, pad=1, pad_value=-1.0)
-        else:
-            xb = sign(xr)
-            wq = sign(w)
-            raw = bitpack.bit_conv2d(
-                bitpack.pack(xb), bitpack.pack(wq), scale=1.0, out_dtype=x.dtype
-            )
-        y = np.asarray(scale, x.dtype) * raw
-        z, rp_cache = _rprelu_forward(
-            y, self.beta.value, self.gamma.value, self.zeta.value
-        )
-        out = x + z
-        self._cache = (x, xr, xb, wq, scale, raw, rp_cache, alpha)
-        return out
+        y, conv_cache = self._binconv(xr, surrogate)
+        self._cache = (x, *conv_cache)
+        return x + rprelu(y, self.beta.value, self.gamma.value, self.zeta.value)
 
     def backward(self, grad_out):
-        if self._cache is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        x, xr, xb, wq, scale, raw, rp_cache, alpha = self._cache
-        self._cache = None
+        cache = self._pop_cache()
+        x, xr, _, _, _, scale, raw, alpha = cache
         if grad_out.shape != x.shape:
             raise DimensionError(
                 f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
             )
-        gy, gbeta, ggamma, gzeta = _rprelu_backward(grad_out, rp_cache)
-        self.beta.grad += gbeta
-        self.gamma.grad += ggamma
-        self.zeta.grad += gzeta
+        # RPReLU backward, its mask recomputed from the pre-activation y.
+        y = np.asarray(scale, xr.dtype) * raw
+        g = self.gamma.value[None, :, None, None]
+        mask = y > g
+        gy = grad_out * np.where(
+            mask, np.asarray(1, grad_out.dtype), self.beta.value[None, :, None, None]
+        )
+        self.beta.grad += np.where(mask, 0, grad_out * (y - g)).sum(axis=(0, 2, 3))
+        self.gamma.grad += (-gy).sum(axis=(0, 2, 3))
+        self.zeta.grad += grad_out.sum(axis=(0, 2, 3))
 
-        gscale = float((gy * raw).sum())
-        graw = gy * np.asarray(scale, gy.dtype)
-        gxb, gwq = conv2d_vjp(xb, wq, graw, stride=1, pad=1, pad_value=-1.0)
-
-        w = self.weight.value
-        self.weight.grad += gwq * ste_grad(w, "clip") + (gscale / w.size) * sign(w)
-
-        gxr = gxb * ste_grad(xr, self.ste, alpha)
+        gxb, gxr = self._binconv_backward(cache[1:], gy)
         if self.alpha is not None:
             t = np.tanh(alpha * xr)
             self.alpha.grad += (gxb * xr * (1.0 - t * t)).sum()
-        if self.redistribute:
-            self.gain.grad += (gxr * x).sum(axis=(0, 2, 3))
-            self.shift.grad += gxr.sum(axis=(0, 2, 3))
-            gin = gxr * self.gain.value[None, :, None, None]
-        else:
-            gin = gxr
-        return gin + grad_out
+        if not self.redistribute:
+            return gxr + grad_out
+        self.gain.grad += (gxr * x).sum(axis=(0, 2, 3))
+        self.shift.grad += gxr.sum(axis=(0, 2, 3))
+        return gxr * self.gain.value[None, :, None, None] + grad_out
 
 
-class VanillaBinConv:
-    """Plain 1-bit convolution: sign the input, binarize the weights with a
-    mean-|w| scale, convolve. No redistribution, no RPReLU, no residual, so
-    zero weights really do annihilate the signal. Used by the
-    "normal"-module ablation baseline.
-    """
-
-    def __init__(self, c_in, c_out, k, stride, pad, rng, dtype=np.float32,
-                 ste="tanh", name="binconv"):
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.pad = stride, pad
-        self.ste = ste
-        self.name = name
-        self.weight = Param(
-            f"{name}.weight", uniform_fan_in(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
-        )
-        self._cache = None
-
-    def params(self):
-        return [self.weight]
-
-    def param_count(self):
-        return self.weight.value.size
-
-    def count_macs(self, h, w):
-        ho = (h + 2 * self.pad - self.k) // self.stride + 1
-        wo = (w + 2 * self.pad - self.k) // self.stride + 1
-        return self.c_in * self.c_out * self.k * self.k * ho * wo, ho, wo
-
-    def forward(self, x, surrogate=False):
-        w = self.weight.value
-        scale = float(np.mean(np.abs(w)))
-        if surrogate:
-            xb = ste_value(x, self.ste, 1.0).astype(x.dtype)
-            wq = ste_value(w, "clip").astype(w.dtype)
-        else:
-            xb = sign(x)
-            wq = sign(w)
-        if not surrogate and self.k in (3, 4):
-            raw = bitpack.bit_conv2d(
-                bitpack.pack(xb), bitpack.pack(wq),
-                scale=1.0, stride=self.stride, pad=self.pad, out_dtype=x.dtype,
-            )
-        else:
-            # 1x1 kernels have a single tap per channel; the dense product of
-            # {-1,+1} operands is already exact integer arithmetic.
-            raw, _ = conv2d_forward(
-                xb, wq, stride=self.stride, pad=self.pad, pad_value=-1.0
-            )
-        self._cache = (x, xb, wq, scale, raw)
-        return np.asarray(scale, x.dtype) * raw
-
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        x, xb, wq, scale, raw, = self._cache
-        self._cache = None
-        gscale = float((grad_out * raw).sum())
-        graw = grad_out * np.asarray(scale, grad_out.dtype)
-        gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
-        w = self.weight.value
-        self.weight.grad += gwq * ste_grad(w, "clip") + (gscale / w.size) * sign(w)
-        return gxb * ste_grad(x, self.ste, 1.0)
-
-
-class Conv2dFP:
+class Conv2dFP(_Conv):
     """Ordinary full-precision convolution layer with bias."""
 
     def __init__(self, c_in, c_out, k, stride=1, pad=0, rng=None,
                  dtype=np.float32, name="conv"):
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.pad = stride, pad
-        self.name = name
-        self.weight = Param(
-            f"{name}.weight", uniform_fan_in(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
-        )
+        super().__init__(c_in, c_out, k, stride, pad, rng, dtype, name)
         self.bias = Param(f"{name}.bias", np.zeros(c_out, dtype))
-        self._cache = None
 
     def params(self):
         return [self.weight, self.bias]
 
-    def param_count(self):
-        return self.weight.value.size + self.bias.value.size
-
-    def count_macs(self, h, w):
-        ho = (h + 2 * self.pad - self.k) // self.stride + 1
-        wo = (w + 2 * self.pad - self.k) // self.stride + 1
-        return self.c_in * self.c_out * self.k * self.k * ho * wo, ho, wo
-
     def forward(self, x, surrogate=False):
-        y, cache = conv2d_forward(
+        y, self._cache = conv2d_forward(
             x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0
         )
-        self._cache = cache
         return y
 
     def backward(self, grad_out):
-        if self._cache is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        cache = self._cache
-        self._cache = None
-        gx, gw, gb = conv2d_backward(cache, grad_out, weight=self.weight.value)
+        gx, gw, gb = conv2d_backward(self._pop_cache(), grad_out, weight=self.weight.value)
         self.weight.grad += gw
         self.bias.grad += gb
         return gx
 
 
-class ConvBlock:
+class ConvBlock(Layer):
     """Full-precision residual block: x + conv(leaky(conv(x)))."""
 
     def __init__(self, channels, rng, dtype=np.float32, name="block"):
@@ -337,56 +328,26 @@ class ConvBlock:
         self.name = name
         self.conv1 = Conv2dFP(channels, channels, 3, 1, 1, rng, dtype, f"{name}.conv1")
         self.conv2 = Conv2dFP(channels, channels, 3, 1, 1, rng, dtype, f"{name}.conv2")
-        self._pre_act = None
-
-    def params(self):
-        return self.conv1.params() + self.conv2.params()
-
-    def param_count(self):
-        return self.conv1.param_count() + self.conv2.param_count()
-
-    def count_macs(self, h, w):
-        m1, h, w = self.conv1.count_macs(h, w)
-        m2, h, w = self.conv2.count_macs(h, w)
-        return m1 + m2, h, w
+        self.layers = [self.conv1, self.conv2]
 
     def forward(self, x, surrogate=False):
-        y1 = self.conv1.forward(x)
-        self._pre_act = y1
+        self._cache = y1 = self.conv1.forward(x)
         slope = np.asarray(LEAKY_SLOPE, x.dtype)
-        a = np.where(y1 > 0, y1, slope * y1)
-        return x + self.conv2.forward(a)
+        return x + self.conv2.forward(np.where(y1 > 0, y1, slope * y1))
 
     def backward(self, grad_out):
-        if self._pre_act is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        y1 = self._pre_act
-        self._pre_act = None
+        y1 = self._pop_cache()
         ga = self.conv2.backward(grad_out)
         slope = np.asarray(LEAKY_SLOPE, ga.dtype)
-        gy1 = ga * np.where(y1 > 0, np.asarray(1, ga.dtype), slope)
-        return self.conv1.backward(gy1) + grad_out
+        return self.conv1.backward(ga * np.where(y1 > 0, np.asarray(1, ga.dtype), slope)) + grad_out
 
 
-class Chain:
+class Chain(Layer):
     """Sequential composition of layers sharing the layer protocol."""
 
     def __init__(self, layers, name="chain"):
         self.layers = list(layers)
         self.name = name
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
-    def param_count(self):
-        return sum(layer.param_count() for layer in self.layers)
-
-    def count_macs(self, h, w):
-        total = 0
-        for layer in self.layers:
-            m, h, w = layer.count_macs(h, w)
-            total += m
-        return total, h, w
 
     def forward(self, x, surrogate=False):
         for layer in self.layers:
@@ -399,81 +360,69 @@ class Chain:
         return grad_out
 
 
-class BinDownsample:
-    """Binarized downsample: average-pool, then two parallel
-    channel-preserving BiSRConv branches concatenated to double the
-    channels. Pooling and concatenation are the only reshapers, so each
-    branch's identity path carries full-precision signal through.
-    """
+class Pool2(Layer):
+    """Parameter-free 2x2 average pooling."""
 
-    def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
-                 redistribute=True, name="bids"):
-        self.channels = channels
+    def __init__(self, name="pool2"):
         self.name = name
-        self.branch_a = BiSRConv(channels, rng, dtype, ste, redistribute, name=f"{name}.a")
-        self.branch_b = BiSRConv(channels, rng, dtype, ste, redistribute, name=f"{name}.b")
-        self._in_shape = None
-
-    def params(self):
-        return self.branch_a.params() + self.branch_b.params()
-
-    def param_count(self):
-        return self.branch_a.param_count() + self.branch_b.param_count()
 
     def count_macs(self, h, w):
-        ma, ho, wo = self.branch_a.count_macs(h // 2, w // 2)
-        mb, _, _ = self.branch_b.count_macs(h // 2, w // 2)
-        return ma + mb, ho, wo
+        return 0, h // 2, w // 2
 
     def forward(self, x, surrogate=False):
-        self._in_shape = x.shape
-        u = avg_pool2x2(x)
-        a = self.branch_a.forward(u, surrogate=surrogate)
-        b = self.branch_b.forward(u, surrogate=surrogate)
-        return concat_channels(a, b)
+        self._cache = x.shape
+        return avg_pool2x2(x)
 
     def backward(self, grad_out):
-        if self._in_shape is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        in_shape = self._in_shape
-        self._in_shape = None
-        ga, gb = split_channels(grad_out, self.channels)
-        gu = self.branch_a.backward(ga) + self.branch_b.backward(gb)
-        return avg_pool2x2_backward(gu, in_shape)
+        return avg_pool2x2_backward(grad_out, self._pop_cache())
 
 
-class BinFusionUp:
+class Up2(Layer):
+    """Parameter-free bilinear 2x upscale."""
+
+    def __init__(self, name="up2"):
+        self.name = name
+
+    def count_macs(self, h, w):
+        return 0, 2 * h, 2 * w
+
+    def forward(self, x, surrogate=False):
+        self._cache = x.shape
+        return bilinear_up2(x)
+
+    def backward(self, grad_out):
+        return bilinear_up2_backward(grad_out, self._pop_cache())
+
+
+class TwoBranch(Layer):
+    """Two parallel channel-preserving BiSRConv branches of ``width``
+    channels, named ``<name>.a`` and ``<name>.b``."""
+
+    def __init__(self, width, rng, dtype, ste, redistribute, name):
+        self.name = name
+        self.branch_a = BiSRConv(width, rng, dtype, ste, redistribute, name=f"{name}.a")
+        self.branch_b = BiSRConv(width, rng, dtype, ste, redistribute, name=f"{name}.b")
+        self.layers = [self.branch_a, self.branch_b]
+
+
+class BinFusionUp(TwoBranch):
     """Channel-doubling fusion: the downsample module without the pooling."""
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
                  redistribute=True, name="bifu"):
+        super().__init__(channels, rng, dtype, ste, redistribute, name)
         self.channels = channels
-        self.name = name
-        self.branch_a = BiSRConv(channels, rng, dtype, ste, redistribute, name=f"{name}.a")
-        self.branch_b = BiSRConv(channels, rng, dtype, ste, redistribute, name=f"{name}.b")
-
-    def params(self):
-        return self.branch_a.params() + self.branch_b.params()
-
-    def param_count(self):
-        return self.branch_a.param_count() + self.branch_b.param_count()
-
-    def count_macs(self, h, w):
-        ma, ho, wo = self.branch_a.count_macs(h, w)
-        mb, _, _ = self.branch_b.count_macs(h, w)
-        return ma + mb, ho, wo
 
     def forward(self, x, surrogate=False):
         a = self.branch_a.forward(x, surrogate=surrogate)
-        b = self.branch_b.forward(x, surrogate=surrogate)
-        return concat_channels(a, b)
+        return concat_channels(a, self.branch_b.forward(x, surrogate=surrogate))
 
     def backward(self, grad_out):
         ga, gb = split_channels(grad_out, self.channels)
         return self.branch_a.backward(ga) + self.branch_b.backward(gb)
 
 
-class BinFusionDown:
+class BinFusionDown(TwoBranch):
     """Channel-halving fusion: split, run a BiSRConv on each half, average.
 
     Averaging (rather than summing) keeps activation magnitudes stable and
@@ -484,22 +433,9 @@ class BinFusionDown:
                  redistribute=True, name="bifd"):
         if c_in % 2:
             raise DimensionError(f"{name}: fusion-down needs even channels, got {c_in}")
+        super().__init__(c_in // 2, rng, dtype, ste, redistribute, name)
         self.c_in = c_in
         self.half = c_in // 2
-        self.name = name
-        self.branch_a = BiSRConv(self.half, rng, dtype, ste, redistribute, name=f"{name}.a")
-        self.branch_b = BiSRConv(self.half, rng, dtype, ste, redistribute, name=f"{name}.b")
-
-    def params(self):
-        return self.branch_a.params() + self.branch_b.params()
-
-    def param_count(self):
-        return self.branch_a.param_count() + self.branch_b.param_count()
-
-    def count_macs(self, h, w):
-        ma, ho, wo = self.branch_a.count_macs(h, w)
-        mb, _, _ = self.branch_b.count_macs(h, w)
-        return ma + mb, ho, wo
 
     def forward(self, x, surrogate=False):
         if x.shape[1] != self.c_in:
@@ -513,143 +449,67 @@ class BinFusionDown:
 
     def backward(self, grad_out):
         g = grad_out * np.asarray(0.5, grad_out.dtype)
-        ga = self.branch_a.backward(g)
-        gb = self.branch_b.backward(g)
-        return concat_channels(ga, gb)
+        return concat_channels(self.branch_a.backward(g), self.branch_b.backward(g))
 
 
-class BinUpsample:
+class BinDownsample(Chain):
+    """Binarized downsample: average-pool, then two parallel
+    channel-preserving BiSRConv branches concatenated to double the
+    channels. Pooling and concatenation are the only reshapers, so each
+    branch's identity path carries full-precision signal through.
+    """
+
+    def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
+                 redistribute=True, name="bids"):
+        fusion = BinFusionUp(channels, rng, dtype, ste, redistribute, name)
+        super().__init__([Pool2(f"{name}.pool"), fusion], name)
+        self.branch_a, self.branch_b = fusion.branch_a, fusion.branch_b
+
+    forward, backward = Chain.forward, Chain.backward
+
+
+class BinUpsample(Chain):
     """Binarized upsample: bilinear 2x upscale followed by the
     channel-halving fusion."""
 
     def __init__(self, c_in, rng, dtype=np.float32, ste="tanh",
                  redistribute=True, name="bius"):
-        self.c_in = c_in
-        self.name = name
         self.fuse = BinFusionDown(c_in, rng, dtype, ste, redistribute, name=f"{name}.fuse")
-        self._in_shape = None
+        super().__init__([Up2(f"{name}.up"), self.fuse], name)
 
-    def params(self):
-        return self.fuse.params()
-
-    def param_count(self):
-        return self.fuse.param_count()
-
-    def count_macs(self, h, w):
-        return self.fuse.count_macs(2 * h, 2 * w)
-
-    def forward(self, x, surrogate=False):
-        self._in_shape = x.shape
-        return self.fuse.forward(bilinear_up2(x), surrogate=surrogate)
-
-    def backward(self, grad_out):
-        if self._in_shape is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        in_shape = self._in_shape
-        self._in_shape = None
-        return bilinear_up2_backward(self.fuse.backward(grad_out), in_shape)
+    forward, backward = Chain.forward, Chain.backward
 
 
-class NormalDown:
+class NormalDown(Chain):
     """Baseline downsample: direct reshape by a strided 1-bit conv4x4."""
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh", name="ndown"):
         self.conv = VanillaBinConv(channels, 2 * channels, 4, 2, 1, rng, dtype, ste, f"{name}.conv")
-        self.name = name
-
-    def params(self):
-        return self.conv.params()
-
-    def param_count(self):
-        return self.conv.param_count()
-
-    def count_macs(self, h, w):
-        return self.conv.count_macs(h, w)
-
-    def forward(self, x, surrogate=False):
-        return self.conv.forward(x, surrogate=surrogate)
-
-    def backward(self, grad_out):
-        return self.conv.backward(grad_out)
+        super().__init__([self.conv], name)
 
 
-class NormalUp:
+class NormalUp(Chain):
     """Baseline upsample: bilinear upscale, then a channel-halving 1-bit conv3x3."""
 
     def __init__(self, c_in, rng, dtype=np.float32, ste="tanh", name="nup"):
         self.conv = VanillaBinConv(c_in, c_in // 2, 3, 1, 1, rng, dtype, ste, f"{name}.conv")
-        self.name = name
-        self._in_shape = None
-
-    def params(self):
-        return self.conv.params()
-
-    def param_count(self):
-        return self.conv.param_count()
-
-    def count_macs(self, h, w):
-        return self.conv.count_macs(2 * h, 2 * w)
-
-    def forward(self, x, surrogate=False):
-        self._in_shape = x.shape
-        return self.conv.forward(bilinear_up2(x), surrogate=surrogate)
-
-    def backward(self, grad_out):
-        if self._in_shape is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        in_shape = self._in_shape
-        self._in_shape = None
-        return bilinear_up2_backward(self.conv.backward(grad_out), in_shape)
+        super().__init__([Up2(f"{name}.up"), self.conv], name)
 
 
-class NormalFuse:
+class NormalFuse(Chain):
     """Baseline fusion: a single 1-bit conv1x1 reshaping the channels."""
 
     def __init__(self, c_in, c_out, rng, dtype=np.float32, ste="tanh", name="nfuse"):
         self.conv = VanillaBinConv(c_in, c_out, 1, 1, 0, rng, dtype, ste, f"{name}.conv")
-        self.name = name
-
-    def params(self):
-        return self.conv.params()
-
-    def param_count(self):
-        return self.conv.param_count()
-
-    def count_macs(self, h, w):
-        return self.conv.count_macs(h, w)
-
-    def forward(self, x, surrogate=False):
-        return self.conv.forward(x, surrogate=surrogate)
-
-    def backward(self, grad_out):
-        return self.conv.backward(grad_out)
+        super().__init__([self.conv], name)
 
 
-class FPUp:
+class FPUp(Chain):
     """Full-precision upsample: bilinear 2x then a channel-preserving conv3x3
     (channel reduction happens in the following skip-fusion conv1x1)."""
 
     def __init__(self, channels, rng, dtype=np.float32, name="fpup"):
         self.conv = Conv2dFP(channels, channels, 3, 1, 1, rng, dtype, f"{name}.conv")
-        self.name = name
-        self._in_shape = None
+        super().__init__([Up2(f"{name}.up"), self.conv], name)
 
-    def params(self):
-        return self.conv.params()
-
-    def param_count(self):
-        return self.conv.param_count()
-
-    def count_macs(self, h, w):
-        return self.conv.count_macs(2 * h, 2 * w)
-
-    def forward(self, x, surrogate=False):
-        self._in_shape = x.shape
-        return self.conv.forward(bilinear_up2(x))
-
-    def backward(self, grad_out):
-        if self._in_shape is None:
-            raise StateError(f"{self.name}: backward() before forward()")
-        in_shape = self._in_shape
-        self._in_shape = None
-        return bilinear_up2_backward(self.conv.backward(grad_out), in_shape)
+    forward, backward = Chain.forward, Chain.backward

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binarize import STE_KINDS
 from .errors import ConfigError, DimensionError, StateError
 from .layers import (
     BinDownsample,
@@ -159,37 +158,30 @@ class Network:
         NL = cfg.n_wavelengths
         ste = cfg.layer_ste
         sr = cfg.redistribution
+        bisr_style = cfg.module_style == "binarized"
 
         def block(channels, binarized, name):
             if not binarized:
                 return ConvBlock(channels, rng, dtype, name)
-            if cfg.module_style == "binarized":
-                return Chain(
-                    [
-                        BiSRConv(channels, rng, dtype, ste, sr, name=f"{name}.conv1"),
-                        BiSRConv(channels, rng, dtype, ste, sr, name=f"{name}.conv2"),
-                    ],
-                    name,
-                )
-            return Chain(
-                [
-                    VanillaBinConv(channels, channels, 3, 1, 1, rng, dtype, ste, f"{name}.conv1"),
-                    VanillaBinConv(channels, channels, 3, 1, 1, rng, dtype, ste, f"{name}.conv2"),
-                ],
-                name,
-            )
+            if bisr_style:
+                convs = [BiSRConv(channels, rng, dtype, ste, sr, name=f"{name}.conv{i}")
+                         for i in (1, 2)]
+            else:
+                convs = [VanillaBinConv(channels, channels, 3, 1, 1, rng, dtype, ste,
+                                        f"{name}.conv{i}") for i in (1, 2)]
+            return Chain(convs, name)
 
         def down(channels, binarized, name):
             if not binarized:
                 return Conv2dFP(channels, 2 * channels, 4, 2, 1, rng, dtype, name)
-            if cfg.module_style == "binarized":
+            if bisr_style:
                 return BinDownsample(channels, rng, dtype, ste, sr, name)
             return NormalDown(channels, rng, dtype, ste, name)
 
         def up(c_in, binarized, name):
             if not binarized:
                 return FPUp(c_in, rng, dtype, name)
-            if cfg.module_style == "binarized":
+            if bisr_style:
                 return BinUpsample(c_in, rng, dtype, ste, sr, name)
             return NormalUp(c_in, rng, dtype, ste, name)
 
@@ -198,7 +190,7 @@ class Network:
             # with the skip feature.
             if not binarized:
                 return Conv2dFP(c_skip_in, c_out, 1, 1, 0, rng, dtype, name)
-            if cfg.module_style == "binarized":
+            if bisr_style:
                 return BinFusionDown(c_skip_in, rng, dtype, ste, sr, name)
             return NormalFuse(c_skip_in, c_out, rng, dtype, ste, name)
 
@@ -228,8 +220,15 @@ class Network:
         self.dec_block2 = block(C, bd, "decoder.block2")
         self.mapping = Conv2dFP(C, NL, 1, 1, 0, rng, dtype, "mapping.proj")
 
-        self._up1_out = up1_out
-        self._up2_out = up2_out
+        # The U levels, outermost first: encoder block and downsample, then
+        # the decoder's upsample, skip fusion and block at the same
+        # resolution, and the upsample's output channels.
+        self._levels = [
+            (self.enc_block1, self.enc_down1, self.dec_up2, self.dec_fuse2, self.dec_block2,
+             up2_out),
+            (self.enc_block2, self.enc_down2, self.dec_up1, self.dec_fuse1, self.dec_block1,
+             up1_out),
+        ]
         self._done_forward = False
 
     def part_layers(self, part):
@@ -249,11 +248,7 @@ class Network:
         }[part]
 
     def params(self):
-        out = []
-        for part in PART_NAMES:
-            for layer in self.part_layers(part):
-                out.extend(layer.params())
-        return out
+        return [p for part in PART_NAMES for layer in self.part_layers(part) for p in layer.params()]
 
     def zero_grads(self):
         for p in self.params():
@@ -274,21 +269,9 @@ class Network:
         if h_shifted.shape[2] % 4 or h_shifted.shape[3] % 4:
             raise DimensionError("spatial dims must be divisible by 4 (two downsamples)")
 
-        s = surrogate
-        x = concat_channels(h_shifted, m_shifted)
-        xs = self.embedding.forward(x, surrogate=s)
-        f1 = self.enc_block1.forward(xs, surrogate=s)
-        d1 = self.enc_down1.forward(f1, surrogate=s)
-        f2 = self.enc_block2.forward(d1, surrogate=s)
-        d2 = self.enc_down2.forward(f2, surrogate=s)
-        bt = self.bottleneck.forward(d2, surrogate=s)
-        u1 = self.dec_up1.forward(bt, surrogate=s)
-        g1 = self.dec_fuse1.forward(concat_channels(u1, f2), surrogate=s)
-        g1 = self.dec_block1.forward(g1, surrogate=s)
-        u2 = self.dec_up2.forward(g1, surrogate=s)
-        g2 = self.dec_fuse2.forward(concat_channels(u2, f1), surrogate=s)
-        xd = self.dec_block2.forward(g2, surrogate=s)
-        out = self.mapping.forward(xs + xd, surrogate=s)
+        xs = self.embedding.forward(concat_channels(h_shifted, m_shifted), surrogate=surrogate)
+        xd = self._level_forward(self._levels, xs, surrogate)
+        out = self.mapping.forward(xs + xd, surrogate=surrogate)
         self._done_forward = True
         return out
 
@@ -297,41 +280,39 @@ class Network:
             raise StateError("backward() before forward()")
         self._done_forward = False
         gsum = self.mapping.backward(grad_out)  # grad wrt xs + xd
-        g = self.dec_block2.backward(gsum)
-        gc2 = self.dec_fuse2.backward(g)
-        gu2, gskip1 = split_channels(gc2, self._up2_out)
-        g = self.dec_up2.backward(gu2)
-        g = self.dec_block1.backward(g)
-        gc1 = self.dec_fuse1.backward(g)
-        gu1, gskip2 = split_channels(gc1, self._up1_out)
-        gbt = self.dec_up1.backward(gu1)
-        gd2 = self.bottleneck.backward(gbt)
-        gf2 = self.enc_down2.backward(gd2) + gskip2
-        gd1 = self.enc_block2.backward(gf2)
-        gf1 = self.enc_down1.backward(gd1) + gskip1
-        gxs = self.enc_block1.backward(gf1) + gsum
-        gx = self.embedding.backward(gxs)
-        return split_channels(gx, self.cfg.n_wavelengths)
+        gxs = self._level_backward(self._levels, gsum) + gsum
+        return split_channels(self.embedding.backward(gxs), self.cfg.n_wavelengths)
+
+    def _level_forward(self, levels, x, surrogate):
+        """Runs the outermost of ``levels`` around the inner ones; the
+        bottleneck sits inside the innermost."""
+        if not levels:
+            return self.bottleneck.forward(x, surrogate=surrogate)
+        enc, down, up, fuse, dec, _ = levels[0]
+        skip = enc.forward(x, surrogate=surrogate)
+        inner = self._level_forward(levels[1:], down.forward(skip, surrogate=surrogate), surrogate)
+        u = up.forward(inner, surrogate=surrogate)
+        return dec.forward(fuse.forward(concat_channels(u, skip), surrogate=surrogate),
+                           surrogate=surrogate)
+
+    def _level_backward(self, levels, grad):
+        """Backward of :meth:`_level_forward` for the same ``levels``."""
+        if not levels:
+            return self.bottleneck.backward(grad)
+        enc, down, up, fuse, dec, up_channels = levels[0]
+        gu, gskip = split_channels(fuse.backward(dec.backward(grad)), up_channels)
+        ginner = self._level_backward(levels[1:], up.backward(gu))
+        return enc.backward(down.backward(ginner) + gskip)
 
     def count(self, input_h=256, input_w=256):
         """Per-part parameter and conv-MAC accounting at a given input size."""
-        flags = {
-            "embedding": False,
-            "encoder": self.cfg.binarize_encoder,
-            "bottleneck": self.cfg.binarize_bottleneck,
-            "decoder": self.cfg.binarize_decoder,
-            "mapping": False,
-        }
+        flags = {"embedding": False, "mapping": False, **self.cfg.binarize_flags}
         acc = Accounting()
         h, w = input_h, input_w
         for part in PART_NAMES:
-            params_f = 0
-            ops_f = 0
-            for layer in self.part_layers(part):
-                params_f += layer.param_count()
-                m, h, w = layer.count_macs(h, w)
-                ops_f += m
-            acc.parts.append(PartCount(part, flags[part], params_f, ops_f))
+            layers = Chain(self.part_layers(part), part)
+            ops_f, h, w = layers.count_macs(h, w)
+            acc.parts.append(PartCount(part, flags[part], layers.param_count(), ops_f))
         return acc
 
 

@@ -90,7 +90,7 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
     return y, cache
 
 
-def conv2d_backward(cache, grad_out, x=None, weight=None):
+def conv2d_backward(cache, grad_out, weight):
     """Gradients of ``conv2d_forward`` w.r.t. input, weight and bias.
 
     ``weight`` must be the forward weight. Returns (grad_x, grad_w, grad_b)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bisrnet import layers
 from bisrnet.errors import DimensionError, StateError
 from bisrnet.layers import (
     BinDownsample,
@@ -15,6 +16,9 @@ from bisrnet.layers import (
     NormalDown,
     NormalFuse,
     NormalUp,
+    Pool2,
+    Up2,
+    VanillaBinConv,
     rprelu,
 )
 from bisrnet.tensor import avg_pool2x2, bilinear_up2, concat_channels, split_channels
@@ -366,3 +370,44 @@ class TestCounts:
         assert (macs, h, w) == (9 * 16, 4, 4)
         macs, h, w = BinDownsample(4, np.random.default_rng(0)).count_macs(8, 8)
         assert (macs, h, w) == (2 * 4 * 4 * 9 * 16, 4, 4)
+
+
+# One small instance and input shape per layer class, for the state guard.
+GUARD_CASES = {
+    VanillaBinConv: lambda r: VanillaBinConv(4, 6, 3, 1, 1, r),
+    BiSRConv: lambda r: BiSRConv(4, r),
+    Conv2dFP: lambda r: Conv2dFP(4, 6, 3, 1, 1, r),
+    ConvBlock: lambda r: ConvBlock(4, r),
+    Chain: lambda r: Chain([ConvBlock(4, r), BiSRConv(4, r)]),
+    Pool2: lambda r: Pool2(),
+    Up2: lambda r: Up2(),
+    BinFusionUp: lambda r: BinFusionUp(4, r),
+    BinFusionDown: lambda r: BinFusionDown(4, r),
+    BinDownsample: lambda r: BinDownsample(4, r),
+    BinUpsample: lambda r: BinUpsample(4, r),
+    NormalDown: lambda r: NormalDown(4, r),
+    NormalUp: lambda r: NormalUp(4, r),
+    NormalFuse: lambda r: NormalFuse(4, 2, r),
+    FPUp: lambda r: FPUp(4, r),
+}
+
+
+class TestStateGuard:
+    def test_every_layer_class_has_a_case(self):
+        classes = {
+            cls for cls in vars(layers).values()
+            if isinstance(cls, type) and issubclass(cls, layers.Layer) and hasattr(cls, "forward")
+        }
+        assert classes == set(GUARD_CASES)
+
+    @pytest.mark.parametrize("cls", list(GUARD_CASES), ids=lambda cls: cls.__name__)
+    def test_backward_needs_its_own_forward(self, cls):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
+        layer = GUARD_CASES[cls](rng)
+        g = np.zeros_like(layer.forward(x))
+        layer.backward(g)
+        with pytest.raises(StateError):
+            layer.backward(g)  # the forward's cache is already consumed
+        with pytest.raises(StateError):
+            GUARD_CASES[cls](rng).backward(g)  # no forward at all
