@@ -1,19 +1,32 @@
 """Bit-packed {-1, +1} tensors and exact XNOR/popcount convolution.
 
-Packing convention: bit 1 stands for +1 and bit 0 for -1. Each spatial row
-of each channel is packed least-significant-bit first into 64-bit words, so
-column j lives in bit (j % 64) of word (j // 64). Bits past the row width
-are don't-care padding and are masked out before every popcount.
+Packing convention: bit 1 stands for +1 and bit 0 for -1. A logical
+(n, c, h, w) tensor is packed along its channel axis: ``words`` has shape
+(n, h, w, words_per_row(c)), and channel i of pixel (y, x) lives in bit
+(i % 64) of word (i // 64), least-significant bit first. A weight
+(c_out, c_in, k, k) is packed the same way into (c_out, k, k,
+words_per_row(c_in)) words, so the channel vector of one tap of one output
+channel sits in the same bit positions as the channel vector of one input
+pixel.
+
+Tail bits: bits past c in the last word are don't-care. :func:`pack` and
+:func:`sign_pack` leave them 0, but a BitTensor built by hand may set
+them; :func:`bit_conv2d` masks them out of both operands once per call.
 
 The dot product of two {-1,+1} vectors of length n packed this way is
 
-    2 * popcount(XNOR(a, b) & valid_mask) - n
+    n - 2 * popcount(a XOR b)
 
-because agreeing positions contribute +1 and disagreeing ones -1. The
-convolution kernel below packs every receptive field (c_in * k * k taps in
-(channel, tap row, tap col) order) into words and reduces each output pixel
-with exactly that identity, so its integer output matches the dense
-reference convolution with pad_value=-1 bit for bit.
+because agreeing positions contribute +1 and disagreeing ones -1. A k x k
+convolution is a sum of that identity over its taps: with the input padded
+spatially by zero words (bit 0 = -1),
+
+    conv[b, o, y, x] = c_in*k*k - 2 * sum over (dy, dx, word j) of
+        popcount(xp[b, s*y + dy, s*x + dx, j] XOR w[o, dy, dx, j])
+
+so :func:`bit_conv2d` runs one XOR + popcount pass per tap and word over a
+strided, shifted view of the packed input, and its integer output matches
+the dense reference convolution with pad_value=-1 bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,29 +38,25 @@ from .errors import ArgumentError, DimensionError, DomainError
 WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_BLOCK_OUTPUTS = 1 << 16
 
 
 def words_per_row(n_bits):
     return (n_bits + WORD_BITS - 1) // WORD_BITS
 
 
-def _pack_last_axis(bits):
-    """Pack a boolean array along its last axis into uint64 words (LSB first)."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    n_bytes = packed.shape[-1]
-    padded_bytes = words_per_row(bits.shape[-1]) * _WORD_BYTES
-    if n_bytes != padded_bytes:
-        pad = np.zeros(packed.shape[:-1] + (padded_bytes - n_bytes,), dtype=np.uint8)
-        packed = np.concatenate([packed, pad], axis=-1)
+def _pack_channels(bits):
+    """Pack a boolean (n, c, h, w) array along c into (n, h, w, words) uint64
+    words, LSB first, with zero tail bits."""
+    n, c, h, w = bits.shape
+    packed = np.packbits(np.ascontiguousarray(bits.transpose(0, 2, 3, 1)), axis=-1,
+                         bitorder="little")
+    n_bytes = words_per_row(c) * _WORD_BYTES
+    if packed.shape[-1] != n_bytes:
+        padded = np.zeros((n, h, w, n_bytes), dtype=np.uint8)
+        padded[..., : packed.shape[-1]] = packed
+        packed = padded
     return packed.view("<u8")
-
-
-def _unpack_last_axis(words, n_bits):
-    """Inverse of :func:`_pack_last_axis`; returns a boolean array."""
-    raw = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(raw, axis=-1, bitorder="little", count=n_bits)
-    return bits.astype(bool)
 
 
 def _tail_mask(n_bits):
@@ -64,8 +73,8 @@ def _tail_mask(n_bits):
 class BitTensor:
     """A {-1,+1} tensor stored 1 bit per element.
 
-    words has shape (n, c, h, words_per_row(w)); shape records the logical
-    (n, c, h, w) extent.
+    words has shape (n, h, w, words_per_row(c)), packed along channels;
+    shape records the logical (n, c, h, w) extent.
     """
 
     shape: tuple
@@ -83,14 +92,26 @@ def pack(x):
         raise DimensionError(f"pack() expects (n, c, h, w), got shape {x.shape}")
     if not np.all((x == 1) | (x == -1)):
         raise DomainError("pack() requires every element to be exactly +1 or -1")
-    return BitTensor(shape=x.shape, words=_pack_last_axis(x > 0))
+    return BitTensor(shape=x.shape, words=_pack_channels(x > 0))
+
+
+def sign_pack(x):
+    """``pack(sign(x))`` straight from a real tensor: bit 1 where x > 0, bit
+    0 where x <= 0 (including -0.0). NaN raises ArgumentError, as in sign."""
+    x = np.asarray(x)
+    if x.ndim != 4:
+        raise DimensionError(f"sign_pack() expects (n, c, h, w), got shape {x.shape}")
+    if np.isnan(x).any():
+        raise ArgumentError("sign() received NaN input")
+    return BitTensor(shape=x.shape, words=_pack_channels(x > 0))
 
 
 def unpack(bt, dtype=np.float32):
     """Expand a BitTensor back to a dense {-1,+1} tensor."""
-    bits = _unpack_last_axis(bt.words, bt.shape[-1])
-    out = np.where(bits, 1, -1).astype(dtype)
-    return out.reshape(bt.shape)
+    raw = np.ascontiguousarray(bt.words).view(np.uint8)
+    bits = np.unpackbits(raw, axis=-1, bitorder="little", count=bt.shape[1])
+    bits = np.ascontiguousarray(bits.transpose(0, 3, 1, 2))
+    return np.where(bits, 1, -1).astype(dtype)
 
 
 def xnor_popcount_dot(a_words, b_words, n_bits):
@@ -128,28 +149,36 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
     if ho <= 0 or wo <= 0:
         raise DimensionError(f"empty output for input {h}x{wd}, kernel {k}, pad {pad}")
 
-    # Receptive-field bits, padded with 0 (= -1), in (c_in, tap row, tap col)
-    # order to mirror the dense reference layout.
-    bits = _unpack_last_axis(x.words, wd).reshape(x.shape)
-    bp = np.zeros((n, c_in, h + 2 * pad, wd + 2 * pad), dtype=bool)
-    bp[:, :, pad : pad + h, pad : pad + wd] = bits
-    win = np.lib.stride_tricks.sliding_window_view(bp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    rf = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho, wo, c_in * k * k)
-    rf_words = _pack_last_axis(rf)
+    # Zero words pad spatially (every channel -1); the tail mask clears the
+    # don't-care bits of both operands, so they never count as mismatches.
+    mask = _tail_mask(c_in)
+    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, mask.size), dtype=np.uint64)
+    xp[:, pad : pad + h, pad : pad + wd] = x.words
+    xp &= mask
+    ww = w.words & mask
 
-    wbits = _unpack_last_axis(w.words, k).reshape(w.shape)
-    w_words = _pack_last_axis(wbits.reshape(c_out, c_in * k * k))
-
-    n_taps = c_in * k * k
-    mask = _tail_mask(n_taps)
-    counts = np.empty((n, ho, wo, c_out), dtype=np.int64)
-    # Chunk output channels to bound the (n, ho, wo, chunk, words) temporary.
-    chunk = max(1, min(c_out, (1 << 22) // max(1, n * ho * wo * rf_words.shape[-1])))
-    for lo in range(0, c_out, chunk):
-        hi = min(c_out, lo + chunk)
-        xnor = ~(rf_words[:, :, :, None, :] ^ w_words[None, None, None, lo:hi, :])
-        counts[..., lo:hi] = np.bitwise_count(xnor & mask).astype(np.int64).sum(axis=-1)
-    ints = 2 * counts - n_taps
-    out = ints.transpose(0, 3, 1, 2).astype(out_dtype)
+    # Row blocks of about _BLOCK_OUTPUTS outputs keep their uint64 XORs,
+    # uint8 counts and int32 sums (13 B per output) in a core's L2 cache
+    # across all k*k*words passes.
+    mismatches = np.zeros((n, ho, wo, c_out), dtype=np.int32)
+    rows = max(1, min(ho, _BLOCK_OUTPUTS // (n * wo * c_out)))
+    xor = np.empty((n, rows, wo, c_out), dtype=np.uint64)
+    count = np.empty(xor.shape, dtype=np.uint8)
+    col_end = stride * (wo - 1) + 1
+    for r0 in range(0, ho, rows):
+        m = min(rows, ho - r0)
+        acc, xor_m, count_m = mismatches[:, r0 : r0 + m], xor[:, :m], count[:, :m]
+        for dy in range(k):
+            y0 = stride * r0 + dy
+            for dx in range(k):
+                for j in range(mask.size):
+                    view = xp[:, y0 : y0 + stride * (m - 1) + 1 : stride,
+                              dx : dx + col_end : stride, j, None]
+                    np.bitwise_xor(view, ww[:, dy, dx, j], out=xor_m)
+                    np.bitwise_count(xor_m, out=count_m)
+                    np.add(acc, count_m, out=acc)
+    # The result is an (n, c_out, ho, wo) view of (n, ho, wo, c_out) memory.
+    # Later sums and GEMMs round in memory order, so this order is part of
+    # the network's bit-exact output.
+    out = (c_in * k * k - 2 * mismatches).transpose(0, 3, 1, 2).astype(out_dtype)
     return np.asarray(scale, dtype=out_dtype) * out

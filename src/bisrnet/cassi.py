@@ -32,7 +32,8 @@ class CassiSystem:
     n_bands: int = 28
 
     def __post_init__(self):
-        self.mask2d = np.asarray(self.mask2d, dtype=np.float32)
+        # A copy: later writes to the caller's array must not reach the aperture.
+        self.mask2d = np.array(self.mask2d, dtype=np.float32)
         if self.mask2d.ndim != 2:
             raise DimensionError(f"mask must be 2-D, got shape {self.mask2d.shape}")
         if self.mask2d.min() < 0 or self.mask2d.max() > 1:

@@ -183,17 +183,19 @@ class VanillaBinConv(_Conv):
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         w = self.weight.value
         scale, w_sign = binarize_weights(w)
-        if surrogate:
-            xb = ste_value(x, self.ste, alpha).astype(x.dtype)
-            wq = ste_value(w, "clip").astype(w.dtype)
-        else:
-            xb, wq = sign(x), w_sign
         if not surrogate and self.k in (3, 4):
+            # sign(x) goes straight into bits; the backward recomputes it.
+            xb, wq = None, w_sign
             raw = bitpack.bit_conv2d(
-                bitpack.pack(xb), bitpack.pack(wq),
+                bitpack.sign_pack(x), bitpack.pack(w_sign),
                 scale=1.0, stride=self.stride, pad=self.pad, out_dtype=x.dtype,
             )
         else:
+            if surrogate:
+                xb = ste_value(x, self.ste, alpha).astype(x.dtype)
+                wq = ste_value(w, "clip").astype(w.dtype)
+            else:
+                xb, wq = sign(x), w_sign
             # 1x1 kernels have a single tap per channel; the dense product of
             # {-1,+1} operands is already exact integer arithmetic.
             raw, _ = conv2d_forward(
@@ -206,6 +208,8 @@ class VanillaBinConv(_Conv):
         input and wrt x. The weight path always backpropagates through the
         clip surrogate plus the derivative of the mean-|w| scale."""
         x, xb, wq, w_sign, scale, raw, alpha = cache
+        if xb is None:
+            xb = sign(x)
         gscale = float((grad * raw).sum())
         graw = grad * np.asarray(scale, grad.dtype)
         gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)

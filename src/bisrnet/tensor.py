@@ -175,6 +175,22 @@ def bilinear_up2(x):
     return out
 
 
+def _add_at(out, axis, idx, vals):
+    """``np.add.at`` along ``axis``, in one vectorized add per rank.
+
+    Pass r adds, to each target, the r-th of the values aimed at it (in
+    ``idx`` order). Every target thus sums its values in the order
+    ``np.add.at`` uses, so the result matches it bit for bit.
+    """
+    out, vals = np.moveaxis(out, axis, -1), np.moveaxis(vals, axis, -1)
+    order = np.argsort(idx, kind="stable")
+    targets = idx[order]
+    rank = np.arange(targets.size) - np.searchsorted(targets, targets)
+    for r in range(rank.max() + 1):
+        pick = rank == r
+        out[..., targets[pick]] += vals[..., order[pick]]
+
+
 def bilinear_up2_backward(grad_out, in_shape):
     """Adjoint of :func:`bilinear_up2` (scatter the interpolation weights)."""
     n, c, h, w = in_shape
@@ -184,12 +200,11 @@ def bilinear_up2_backward(grad_out, in_shape):
     ct = ct.astype(grad_out.dtype)[None, None, None, :]
     # Undo the column interpolation first, then the rows.
     rows = np.zeros((n, c, 2 * h, w), dtype=grad_out.dtype)
-    np.add.at(rows, (slice(None), slice(None), slice(None), c0), grad_out * (1 - ct))
-    np.add.at(rows, (slice(None), slice(None), slice(None), c1), grad_out * ct)
+    _add_at(rows, 3, c0, grad_out * (1 - ct))
+    _add_at(rows, 3, c1, grad_out * ct)
     gx = np.zeros(in_shape, dtype=grad_out.dtype)
-    rt2 = rt[:, :, :, 0][:, :, :, None]
-    np.add.at(gx, (slice(None), slice(None), r0), rows * (1 - rt2))
-    np.add.at(gx, (slice(None), slice(None), r1), rows * rt2)
+    _add_at(gx, 2, r0, rows * (1 - rt))
+    _add_at(gx, 2, r1, rows * rt)
     return gx
 
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisrnet import bitpack
+from bisrnet.binarize import sign
 from bisrnet.bitpack import (
     BitTensor,
     bit_conv2d,
     pack,
+    sign_pack,
     unpack,
     words_per_row,
     xnor_popcount_dot,
@@ -21,9 +24,9 @@ def random_pm1(rng, shape, dtype=np.float32):
 
 class TestPackUnpack:
     def test_alternating_row(self):
-        x = np.tile(np.array([1.0, -1.0], dtype=np.float32), 8).reshape(1, 1, 1, 16)
+        x = np.tile(np.array([1.0, -1.0], dtype=np.float32), 8).reshape(1, 16, 1, 1)
         bt = pack(x)
-        # +1 at even columns -> bits 0b...0101010101010101 = 0x5555
+        # +1 at even channels -> bits 0b...0101010101010101 = 0x5555
         assert bt.words[0, 0, 0, 0] == np.uint64(0x5555)
         np.testing.assert_array_equal(unpack(bt), x)
 
@@ -40,10 +43,10 @@ class TestPackUnpack:
             pack(np.full((1, 1, 2, 2), 0.5))
 
     def test_words_per_row_invariant(self):
-        for w in (1, 63, 64, 65, 128, 200):
-            x = -np.ones((1, 1, 1, w), dtype=np.float32)
+        for c in (1, 63, 64, 65, 128, 200):
+            x = -np.ones((1, c, 1, 1), dtype=np.float32)
             bt = pack(x)
-            assert bt.words.shape[-1] == words_per_row(w) == -(-w // 64)
+            assert bt.words.shape[-1] == words_per_row(c) == -(-c // 64)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -61,7 +64,7 @@ class TestPackUnpack:
 
 class TestXnorPopcountDot:
     def pack_row(self, values):
-        x = np.asarray(values, dtype=np.float32).reshape(1, 1, 1, -1)
+        x = np.asarray(values, dtype=np.float32).reshape(1, -1, 1, 1)
         return pack(x).words.ravel()
 
     def test_hand_case(self):
@@ -160,3 +163,80 @@ class TestBitConv2d:
     def test_rejects_dense_arrays(self):
         with pytest.raises(ArgumentError):
             bit_conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3)))
+
+
+# (kernel, stride, pad): the network's two kernels, and pad=0, which the
+# benchmark's +1-padding corruption calls on an input it padded itself.
+CONV_CASES = [(3, 1, 1), (4, 2, 1), (3, 1, 0)]
+
+
+class TestChannelPackedKernel:
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        c_in=st.sampled_from([1, 63, 64, 65, 112, 128, 129]),
+        c_out=st.sampled_from([1, 3, 5, 7]),
+        h=st.integers(4, 9),
+        w=st.integers(4, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference_across_word_edges(self, k, stride, pad, c_in, c_out, h, w, seed):
+        rng = np.random.default_rng(seed)
+        xd = random_pm1(rng, (2, c_in, h, w))
+        wd = random_pm1(rng, (c_out, c_in, k, k))
+        got = bit_conv2d(pack(xd), pack(wd), scale=1.0, stride=stride, pad=pad)
+        want = conv2d_ref(xd, wd, stride=stride, pad=pad, pad_value=-1.0)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    def test_row_blocks_match_one_block(self, monkeypatch, k, stride, pad):
+        rng = np.random.default_rng(11)
+        xd = random_pm1(rng, (2, 70, 13, 11))
+        wd = random_pm1(rng, (5, 70, k, k))
+        want = bit_conv2d(pack(xd), pack(wd), stride=stride, pad=pad)
+        monkeypatch.setattr(bitpack, "_BLOCK_OUTPUTS", 7)  # one output row per block
+        np.testing.assert_array_equal(bit_conv2d(pack(xd), pack(wd), stride=stride, pad=pad), want)
+
+    def test_tail_bits_are_dont_care(self):
+        rng = np.random.default_rng(12)
+        for c_in in (1, 28, 65):
+            xd = random_pm1(rng, (2, c_in, 6, 7))
+            wd = random_pm1(rng, (3, c_in, 3, 3))
+            x, w = pack(xd), pack(wd)
+            want = bit_conv2d(x, w)
+            tail = ~bitpack._tail_mask(c_in)
+
+            def noise(shape):
+                return rng.integers(0, 2**63, shape, dtype=np.uint64) & tail
+
+            noisy_x = BitTensor(x.shape, x.words | noise(x.words.shape))
+            noisy_w = BitTensor(w.shape, w.words | noise(w.words.shape))
+            assert (noisy_x.words != x.words).any()
+            np.testing.assert_array_equal(bit_conv2d(noisy_x, noisy_w), want)
+
+    def test_sign_pack_equals_pack_of_sign(self):
+        rng = np.random.default_rng(13)
+        for c in (1, 28, 64, 65):
+            x = rng.standard_normal((2, c, 3, 4)).astype(np.float32)
+            x[0, 0, 0, :2] = [0.0, -0.0]
+            x[1, -1, 2, 2:] = [-0.0, 0.0]
+            bt = sign_pack(x)
+            assert bt.shape == x.shape
+            np.testing.assert_array_equal(bt.words, pack(sign(x)).words)
+        assert not sign_pack(np.array([0.0, -0.0]).reshape(1, 2, 1, 1)).words.any()
+
+    def test_sign_pack_rejects_nan(self):
+        x = np.ones((1, 3, 2, 2), dtype=np.float32)
+        x[0, 1, 1, 0] = np.nan
+        with pytest.raises(ArgumentError):
+            sign_pack(x)
+
+    def test_weight_layout(self):
+        # Channel i of tap (dy, dx) of output o is bit i % 64 of word
+        # i // 64 of words[o, dy, dx].
+        wd = -np.ones((2, 70, 3, 3), dtype=np.float32)
+        wd[1, 66, 2, 0] = 1.0
+        words = pack(wd).words
+        assert words.shape == (2, 3, 3, 2)
+        assert words[1, 2, 0, 1] == np.uint64(1 << 2)
+        assert np.count_nonzero(words) == 1

@@ -18,6 +18,14 @@ def ones_system(h=6, w=8, step=2, n_bands=4):
     return CassiSystem(np.ones((h, w), dtype=np.float32), step=step, n_bands=n_bands)
 
 
+class TestCassiSystem:
+    def test_mask_is_copied(self):
+        m = np.full((3, 4), 0.5, dtype=np.float32)
+        s = CassiSystem(m, step=1, n_bands=2)
+        m[0, 0] = 5
+        assert s.mask2d[0, 0] == 0.5
+
+
 class TestForwardCapture:
     def test_single_band_no_dispersion(self):
         sys = ones_system(n_bands=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bisrnet import layers
+from bisrnet.binarize import sign
 from bisrnet.errors import DimensionError, StateError
 from bisrnet.layers import (
     BinDownsample,
@@ -74,7 +75,7 @@ class TestBiSRConv:
         layer = BiSRConv(3, rng)
         x = rand_pm1(rng, (1, 3, 5, 5))
         layer.forward(x)
-        np.testing.assert_array_equal(layer._cache[2], x)  # cached x_b
+        np.testing.assert_array_equal(sign(layer._cache[1]), x)  # the signed input
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ from bisrnet.tensor import (
     avg_pool2x2,
     avg_pool2x2_backward,
     bilinear_up2,
+    _up2_indices,
     bilinear_up2_backward,
     concat_channels,
     conv2d_backward,
@@ -171,6 +172,33 @@ class TestBilinearUp2:
         lhs = (bilinear_up2(x) * g).sum()
         rhs = (x * bilinear_up2_backward(g, x.shape)).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_backward_matches_add_at_bit_for_bit(self, n, c, h, w, seed):
+        # The scatter form this backward replaced: np.add.at adds each
+        # target's values in index order, and float32 sums depend on it.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(np.float32)
+        g *= 10.0 ** rng.integers(-4, 5, g.shape)
+        g[rng.random(g.shape) < 0.1] = -0.0
+        r0, r1, rt = _up2_indices(h)
+        c0, c1, ct = _up2_indices(w)
+        rt = rt.astype(np.float32)[:, None]
+        ct = ct.astype(np.float32)
+        rows = np.zeros((n, c, 2 * h, w), dtype=np.float32)
+        np.add.at(rows, (slice(None), slice(None), slice(None), c0), g * (1 - ct))
+        np.add.at(rows, (slice(None), slice(None), slice(None), c1), g * ct)
+        want = np.zeros((n, c, h, w), dtype=np.float32)
+        np.add.at(want, (slice(None), slice(None), r0), rows * (1 - rt))
+        np.add.at(want, (slice(None), slice(None), r1), rows * rt)
+        assert bilinear_up2_backward(g, (n, c, h, w)).tobytes() == want.tobytes()
 
 
 class TestConcatSplit:
