@@ -28,12 +28,19 @@ overrides ``params`` and ``count_macs``. A layer that keeps a cache sets
 backward, which raises StateError when no forward came first; a composite
 without a cache of its own gets the same check from its sub-layers.
 
+A cache holds the forward input plus what the backward cannot cheaply
+recompute, and never im2col columns, which are k*k times the input's
+size for a stride-1 k x k kernel: every convolution takes its gradients
+from ``conv2d_vjp``, which rebuilds the columns from the cached input. A
+forward therefore holds about one input-sized array per layer, and
+inference needs no separate mode.
+
 Three building blocks make up the paper's modules:
 
 - :class:`VanillaBinConv` is the 1-bit convolution: sign, mean-|w| weight
-  scale, the XNOR/popcount kernel (or the dense path for 1x1 taps), and
-  its backward. :class:`BiSRConv` extends it with redistribution, RPReLU
-  and the residual; the ``Normal*`` baselines are configurations of it.
+  scale, the XNOR/popcount kernel, and its backward. :class:`BiSRConv`
+  extends it with redistribution, RPReLU and the residual; the
+  ``Normal*`` baselines are configurations of it.
 - :class:`TwoBranch` holds two parallel BiSRConv branches, ``branch_a``
   and ``branch_b``. :class:`BinFusionUp` concatenates them and
   :class:`BinFusionDown` averages them.
@@ -60,7 +67,6 @@ from .tensor import (
     bilinear_up2,
     bilinear_up2_backward,
     concat_channels,
-    conv2d_backward,
     conv2d_forward,
     conv2d_vjp,
     split_channels,
@@ -177,39 +183,35 @@ class VanillaBinConv(_Conv):
         super().__init__(c_in, c_out, k, stride, pad, rng, dtype, name)
         self.ste = ste
 
+    def _operands(self, x, w_sign, surrogate, alpha):
+        """The dense conv operands: (sign(x), sign(w)), or their surrogates."""
+        if not surrogate:
+            return sign(x), w_sign
+        w = self.weight.value
+        return ste_value(x, self.ste, alpha).astype(x.dtype), ste_value(w, "clip").astype(w.dtype)
+
     def _binconv(self, x, surrogate):
         """Returns (scale * conv(sign(x), sign(w)), cache), with both signs
         replaced by their surrogates when ``surrogate``."""
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
-        w = self.weight.value
-        scale, w_sign = binarize_weights(w)
-        if not surrogate and self.k in (3, 4):
+        scale, w_sign = binarize_weights(self.weight.value)
+        if surrogate:
+            xb, wq = self._operands(x, w_sign, True, alpha)
+            raw = conv2d_forward(xb, wq, stride=self.stride, pad=self.pad, pad_value=-1.0)
+        else:
             # sign(x) goes straight into bits; the backward recomputes it.
-            xb, wq = None, w_sign
             raw = bitpack.bit_conv2d(
                 bitpack.sign_pack(x), bitpack.pack(w_sign),
                 scale=1.0, stride=self.stride, pad=self.pad, out_dtype=x.dtype,
             )
-        else:
-            if surrogate:
-                xb = ste_value(x, self.ste, alpha).astype(x.dtype)
-                wq = ste_value(w, "clip").astype(w.dtype)
-            else:
-                xb, wq = sign(x), w_sign
-            # 1x1 kernels have a single tap per channel; the dense product of
-            # {-1,+1} operands is already exact integer arithmetic.
-            raw, _ = conv2d_forward(
-                xb, wq, stride=self.stride, pad=self.pad, pad_value=-1.0
-            )
-        return np.asarray(scale, x.dtype) * raw, (x, xb, wq, w_sign, scale, raw, alpha)
+        return np.asarray(scale, x.dtype) * raw, (x, surrogate, w_sign, scale, raw, alpha)
 
     def _binconv_backward(self, cache, grad):
         """Accumulates weight.grad; returns the gradients wrt the signed
         input and wrt x. The weight path always backpropagates through the
         clip surrogate plus the derivative of the mean-|w| scale."""
-        x, xb, wq, w_sign, scale, raw, alpha = cache
-        if xb is None:
-            xb = sign(x)
+        x, surrogate, w_sign, scale, raw, alpha = cache
+        xb, wq = self._operands(x, w_sign, surrogate, alpha)
         gscale = float((grad * raw).sum())
         graw = grad * np.asarray(scale, grad.dtype)
         gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
@@ -273,7 +275,7 @@ class BiSRConv(VanillaBinConv):
 
     def backward(self, grad_out):
         cache = self._pop_cache()
-        x, xr, _, _, _, scale, raw, alpha = cache
+        x, xr, _, _, scale, raw, alpha = cache
         if grad_out.shape != x.shape:
             raise DimensionError(
                 f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
@@ -312,15 +314,15 @@ class Conv2dFP(_Conv):
         return [self.weight, self.bias]
 
     def forward(self, x, surrogate=False):
-        y, self._cache = conv2d_forward(
-            x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0
-        )
+        y = conv2d_forward(x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0)
+        self._cache = x
         return y
 
     def backward(self, grad_out):
-        gx, gw, gb = conv2d_backward(self._pop_cache(), grad_out, weight=self.weight.value)
+        gx, gw = conv2d_vjp(self._pop_cache(), self.weight.value, grad_out,
+                            self.stride, self.pad, 0.0)
         self.weight.grad += gw
-        self.bias.grad += gb
+        self.bias.grad += grad_out.sum(axis=(0, 2, 3))
         return gx
 
 

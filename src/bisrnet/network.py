@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError
 from .layers import (
     BinDownsample,
     BinFusionDown,
@@ -229,7 +229,6 @@ class Network:
             (self.enc_block2, self.enc_down2, self.dec_up1, self.dec_fuse1, self.dec_block1,
              up1_out),
         ]
-        self._done_forward = False
 
     def part_layers(self, part):
         return {
@@ -271,14 +270,9 @@ class Network:
 
         xs = self.embedding.forward(concat_channels(h_shifted, m_shifted), surrogate=surrogate)
         xd = self._level_forward(self._levels, xs, surrogate)
-        out = self.mapping.forward(xs + xd, surrogate=surrogate)
-        self._done_forward = True
-        return out
+        return self.mapping.forward(xs + xd, surrogate=surrogate)
 
     def backward(self, grad_out):
-        if not self._done_forward:
-            raise StateError("backward() before forward()")
-        self._done_forward = False
         gsum = self.mapping.backward(grad_out)  # grad wrt xs + xd
         gxs = self._level_backward(self._levels, gsum) + gsum
         return split_channels(self.embedding.backward(gxs), self.cfg.n_wavelengths)

@@ -5,9 +5,13 @@ All activations and weights in this toolkit are plain numpy arrays in
 gradient-check harnesses build everything in float64 instead. Every
 function here is pure and deterministic for fixed inputs.
 
-``conv2d_ref`` doubles as the independent oracle for the bit-packed
-XNOR/popcount kernel, which is why padding takes an explicit fill value:
-binarized feature maps pad with -1, real-valued ones with 0.
+Convolution is im2col plus one GEMM. :func:`conv2d_forward` returns only
+its output; :func:`conv2d_vjp` takes the forward input back and rebuilds
+the columns, so a caller keeps ``x`` for its backward, never the columns.
+``conv2d_ref`` is another name for ``conv2d_forward``: it doubles as the
+independent oracle for the bit-packed XNOR/popcount kernel, which is why
+padding takes an explicit fill value: binarized feature maps pad with -1,
+real-valued ones with 0.
 """
 
 import numpy as np
@@ -47,19 +51,14 @@ def _im2col(xp, k, stride):
     return np.ascontiguousarray(cols), ho, wo
 
 
-def conv2d_ref(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
-    """Reference cross-correlation (no kernel flip).
+def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
+    """Cross-correlation (no kernel flip) by im2col and one GEMM.
 
     x: (n, c_in, h, w); weight: (c_out, c_in, k, k); bias: (c_out,) or None.
     Output spatial size is floor((h + 2*pad - k)/stride) + 1. The padding
-    border is filled with ``pad_value``.
+    border is filled with ``pad_value``. Keeps nothing for a backward pass:
+    :func:`conv2d_vjp` rebuilds the columns from ``x``.
     """
-    y, _ = conv2d_forward(x, weight, bias, stride, pad, pad_value)
-    return y
-
-
-def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
-    """Like :func:`conv2d_ref` but also returns a cache for the backward pass."""
     x = _require_4d(x)
     weight = np.asarray(weight)
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
@@ -86,53 +85,51 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
         if bias.shape != (c_out,):
             raise DimensionError(f"bias must have shape ({c_out},), got {bias.shape}")
         y = y + bias[None, :, None, None]
-    cache = (cols, weight.shape, x.shape, stride, pad, k)
-    return y, cache
+    return y
 
 
-def conv2d_backward(cache, grad_out, weight):
-    """Gradients of ``conv2d_forward`` w.r.t. input, weight and bias.
+conv2d_ref = conv2d_forward
 
-    ``weight`` must be the forward weight. Returns (grad_x, grad_w, grad_b)
-    with grad_b = grad_out summed per output channel (callers without a bias
-    simply ignore it). The constant padding receives no gradient.
+
+def conv2d_backward(cols, grad_out, weight, x_shape, stride, pad):
+    """Column-space step of :func:`conv2d_vjp`.
+
+    ``cols`` are the (n, L, c_in*k*k) patch rows of the padded forward
+    input and ``weight`` the forward weight. Returns (grad_x, grad_w); the
+    constant padding receives no gradient.
     """
-    cols, wshape, xshape, stride, pad, k = cache
-    c_out = wshape[0]
+    c_out, c_in, k, _ = weight.shape
     n, _, ho, wo = grad_out.shape
     go = grad_out.reshape(n, c_out, ho * wo).transpose(0, 2, 1)  # (n, L, c_out)
 
-    grad_w = np.einsum("nlo,nlk->ok", go, cols).reshape(wshape)
+    grad_w = np.einsum("nlo,nlk->ok", go, cols).reshape(weight.shape)
 
-    wmat = weight.reshape(c_out, -1)
-    grad_cols = go @ wmat  # (n, L, c_in*k*k)
-    c_in = wshape[1]
+    grad_cols = go @ weight.reshape(c_out, -1)  # (n, L, c_in*k*k)
     g = grad_cols.reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
 
-    hp, wp = xshape[2] + 2 * pad, xshape[3] + 2 * pad
+    hp, wp = x_shape[2] + 2 * pad, x_shape[3] + 2 * pad
     gxp = np.zeros((n, c_in, hp, wp), dtype=grad_out.dtype)
     for dy in range(k):
         for dx in range(k):
             gxp[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += g[
                 :, :, dy, dx
             ]
-    grad_x = gxp[:, :, pad : pad + xshape[2], pad : pad + xshape[3]]
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_w, grad_b
+    return gxp[:, :, pad : pad + x_shape[2], pad : pad + x_shape[3]], grad_w
 
 
 def conv2d_vjp(x, weight, grad_out, stride=1, pad=0, pad_value=0.0):
-    """One-shot input/weight gradients when no forward cache was kept.
+    """Gradients of :func:`conv2d_forward` w.r.t. x and weight: (grad_x, grad_w).
 
+    Rebuilds the im2col columns from the forward input, so a layer caches
+    ``x`` rather than columns k*k times its size (at stride 1).
     ``pad_value`` must match the forward pass: the weight gradient sums
-    input patches, and constant padding is part of those patches.
+    input patches, and constant padding is part of those patches. The bias
+    gradient is ``grad_out.sum(axis=(0, 2, 3))``.
     """
-    xp = pad_constant(_require_4d(x), pad, np.asarray(pad_value, dtype=x.dtype))
-    k = weight.shape[2]
-    cols, ho, wo = _im2col(xp, k, stride)
-    cache = (cols, weight.shape, x.shape, stride, pad, k)
-    gx, gw, _ = conv2d_backward(cache, grad_out, weight=weight)
-    return gx, gw
+    x = _require_4d(x)
+    xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
+    cols, _, _ = _im2col(xp, weight.shape[2], stride)
+    return conv2d_backward(cols, grad_out, weight, x.shape, stride, pad)
 
 
 def avg_pool2x2(x):

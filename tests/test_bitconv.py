@@ -165,9 +165,10 @@ class TestBitConv2d:
             bit_conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3)))
 
 
-# (kernel, stride, pad): the network's two kernels, and pad=0, which the
+# (kernel, stride, pad): the network's three binarized kernels (3x3, the
+# strided 4x4 and the 1x1 fusion), and 3x3 with pad=0, which the
 # benchmark's +1-padding corruption calls on an input it padded itself.
-CONV_CASES = [(3, 1, 1), (4, 2, 1), (3, 1, 0)]
+CONV_CASES = [(3, 1, 1), (4, 2, 1), (3, 1, 0), (1, 1, 0)]
 
 
 class TestChannelPackedKernel:

@@ -126,6 +126,15 @@ class TestBiSRConv:
         finite_difference_check(loss, targets, rng, rtol=1e-4)
 
 
+class TestConv2dFP:
+    def test_cache_holds_input_not_columns(self):
+        rng = np.random.default_rng(6)
+        layer = Conv2dFP(3, 4, 3, 1, 1, rng)
+        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        layer.forward(x)
+        assert layer._cache is x
+
+
 class TestConvBlock:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(7)

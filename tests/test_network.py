@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,21 @@ class TestBackward:
         net.backward(np.zeros_like(out))
         with pytest.raises(StateError):
             net.backward(np.zeros_like(out))  # cache already consumed
+
+    def test_forward_caches_inputs_not_columns(self):
+        # Layers cache their inputs, never im2col columns (9-16x an input):
+        # what a forward leaves held for backward stays a small multiple
+        # of the input.
+        net = build(NetworkConfig.base_model(base_channels=8, n_wavelengths=8), seed=0)
+        h_in, m_in = tiny_inputs(np.random.default_rng(1), nl=8, h=64, w=64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = net.forward(h_in, m_in)
+            held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 40 * h_in.nbytes, held / h_in.nbytes
 
     def test_grads_deterministic(self):
         rng = np.random.default_rng(6)

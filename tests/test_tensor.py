@@ -11,7 +11,6 @@ from bisrnet.tensor import (
     _up2_indices,
     bilinear_up2_backward,
     concat_channels,
-    conv2d_backward,
     conv2d_forward,
     conv2d_ref,
     conv2d_vjp,
@@ -82,15 +81,15 @@ class TestConv2dRef:
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        y, cache = conv2d_forward(x, w, b, stride=1, pad=1, pad_value=0.0)
+        y = conv2d_forward(x, w, b, stride=1, pad=1, pad_value=0.0)
         go = rng.standard_normal(y.shape)
-        gx, gw, gb = conv2d_backward(cache, go, weight=w)
+        gx, gw = conv2d_vjp(x, w, go, stride=1, pad=1, pad_value=0.0)
 
         def loss(xx, ww, bb):
             return float((conv2d_ref(xx, ww, bb, pad=1) * go).sum())
 
         h = 1e-6
-        for arr, grad, name in [(x, gx, "x"), (w, gw, "w"), (b, gb, "b")]:
+        for arr, grad, name in [(x, gx, "x"), (w, gw, "w")]:
             flat = arr.reshape(-1)
             idx = rng.choice(flat.size, size=min(10, flat.size), replace=False)
             for i in idx:
@@ -102,17 +101,6 @@ class TestConv2dRef:
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 np.testing.assert_allclose(grad.reshape(-1)[i], fd, rtol=1e-5, atol=1e-8)
-
-    def test_vjp_agrees_with_cached_backward(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 3, 6, 6))
-        w = rng.standard_normal((4, 3, 3, 3))
-        y, cache = conv2d_forward(x, w, None, stride=1, pad=1, pad_value=0.0)
-        go = rng.standard_normal(y.shape)
-        gx1, gw1, _ = conv2d_backward(cache, go, weight=w)
-        gx2, gw2 = conv2d_vjp(x, w, go, stride=1, pad=1)
-        np.testing.assert_array_equal(gx1, gx2)
-        np.testing.assert_array_equal(gw1, gw2)
 
 
 class TestAvgPool:

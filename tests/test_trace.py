@@ -4,8 +4,9 @@ The trace (``perfbench/tracer.py``) wraps the ``forward``/``backward``
 that each class in ``bisrnet.layers`` defines in its own body, and the
 functions each module imports by name. A layer refactor that moves a
 method into a base class, or calls a primitive through another binding,
-drops spans that ``perfbench/run.py --trace 1`` requires; this test fails
-first.
+drops spans that ``perfbench/run.py --trace 1`` requires, and a layer whose
+inference forward runs a backward primitive records a span that the
+reconstruction workloads forbid; these tests fail first.
 """
 
 import os
@@ -31,3 +32,17 @@ def test_train32_bin_trace_records_required_spans():
         trace.uninstall()
     assert len(seconds) == 2
     assert run.check_spans("train32_bin", trace.summary()[0]) == []
+
+
+def test_recon256_base_trace_records_no_backward_span(tmp_path):
+    workload = bench.WORKLOADS["recon256_base"]
+    refs = bench.load_reference()
+    state = workload.state_for([0], str(tmp_path), refs)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        results = workload.step(state, trace)
+    finally:
+        trace.uninstall()
+    assert [r.error for r in results] == [""]
+    assert run.check_spans("recon256_base", trace.summary()[0]) == []
