@@ -36,10 +36,13 @@ class CassiSystem:
         self.mask2d = np.array(self.mask2d, dtype=np.float32)
         if self.mask2d.ndim != 2:
             raise DimensionError(f"mask must be 2-D, got shape {self.mask2d.shape}")
-        if self.mask2d.min() < 0 or self.mask2d.max() > 1:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (self.mask2d.min() >= 0 and self.mask2d.max() <= 1):
             raise DomainError("mask values must lie in [0, 1]")
         if self.step < 0:
             raise ArgumentError(f"dispersion step must be >= 0, got {self.step}")
+        if self.n_bands < 1:
+            raise ArgumentError(f"band count must be >= 1, got {self.n_bands}")
 
     @property
     def measurement_width(self):

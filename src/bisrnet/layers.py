@@ -103,7 +103,8 @@ def rprelu(y, beta, gamma, zeta):
     """Per-channel shifted parametric rectifier.
 
     Channel i: y > gamma_i -> y - gamma_i + zeta_i, else
-    beta_i * (y - gamma_i) + zeta_i. Continuous at y = gamma_i.
+    beta_i * (y - gamma_i) + zeta_i. Continuous at y = gamma_i. The result
+    takes ``y``'s memory order.
     """
     y = np.asarray(y)
     c = y.shape[1]
@@ -111,11 +112,21 @@ def rprelu(y, beta, gamma, zeta):
         raise DimensionError(
             f"rprelu parameter length must equal channel count {c}"
         )
-    b = np.asarray(beta)[None, :, None, None]
-    g = np.asarray(gamma)[None, :, None, None]
-    z = np.asarray(zeta)[None, :, None, None]
-    shifted = y - g
-    return np.where(y > g, shifted, b * shifted) + z
+    dt = np.result_type(y, beta, gamma, zeta)
+    b, g, z = (np.asarray(p, dt)[None, :, None, None] for p in (beta, gamma, zeta))
+    out = y - g
+    # Scale by 1 where y > g and by beta elsewhere. The factor's bits come
+    # from integer arithmetic on the 0/1 mask: np.where branches per element
+    # and runs several times slower on a mixed mask. Multiplying by exactly
+    # 1 or beta rounds as the two branches do.
+    uint = np.dtype(f"u{dt.itemsize}")
+    factor = np.greater(y, g, out=np.empty_like(out, dtype=uint))
+    b_bits = b.view(uint)
+    factor *= np.ones((), dt).view(uint) - b_bits
+    factor += b_bits
+    out *= factor.view(dt)
+    out += z
+    return out
 
 
 class Layer:
@@ -271,6 +282,9 @@ class BiSRConv(VanillaBinConv):
             xr = self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
         y, conv_cache = self._binconv(xr, surrogate)
         self._cache = (x, *conv_cache)
+        # numpy adds x in place into rprelu's unreferenced result once that
+        # holds 256 KiB or more (temporary elision), so a large output keeps
+        # y's memory order; an explicit += would reorder small outputs too.
         return x + rprelu(y, self.beta.value, self.gamma.value, self.zeta.value)
 
     def backward(self, grad_out):

@@ -5,17 +5,22 @@ All activations and weights in this toolkit are plain numpy arrays in
 gradient-check harnesses build everything in float64 instead. Every
 function here is pure and deterministic for fixed inputs.
 
-Convolution is im2col plus one GEMM. :func:`conv2d_forward` returns only
-its output; :func:`conv2d_vjp` takes the forward input back and rebuilds
-the columns, so a caller keeps ``x`` for its backward, never the columns.
-``conv2d_ref`` is another name for ``conv2d_forward``: it doubles as the
-independent oracle for the bit-packed XNOR/popcount kernel, which is why
-padding takes an explicit fill value: binarized feature maps pad with -1,
-real-valued ones with 0.
+Convolution is im2col plus GEMM, with one column builder, ``_im2col``.
+:func:`conv2d_forward` builds its columns one block of output rows at a
+time in an L2-sized buffer and runs one GEMM per block, so no full-size
+column matrix exists; blocks never drop below a minimum size, because
+OpenBLAS rounds small GEMMs differently. Its output is bit-identical to a
+single GEMM over the whole column matrix, down to the memory order: an
+(n, c_out, ho, wo) view of (n, ho, wo, c_out) memory. :func:`conv2d_vjp`
+takes the forward input back and builds the full columns, whose sum order
+its einsum fixes, so a caller keeps ``x`` for its backward, never the
+columns. ``conv2d_ref`` is another name for ``conv2d_forward``: it doubles
+as the independent oracle for the bit-packed XNOR/popcount kernel, which
+is why padding takes an explicit fill value: binarized feature maps pad
+with -1, real-valued ones with 0.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, DimensionError
 
@@ -37,27 +42,53 @@ def pad_constant(x, pad, value):
     return out
 
 
-def _im2col(xp, k, stride):
-    """Window a padded 4-D array into (n, L, c*k*k) patch rows.
+# Forward column blocks hold about _BLOCK_BYTES, so each block's im2col rows
+# stay in a core's L2 cache between being built and being multiplied (as
+# bitpack's row blocks do).
+_BLOCK_BYTES = 1 << 20
+# OpenBLAS switches to small-matrix kernels, which round differently, below
+# about 1e6 M*N*K. A block that is not the whole conv keeps at least this
+# many, so every block rounds like the one GEMM over the whole conv.
+_MIN_BLOCK_MNK = 1 << 23
 
-    Patch elements are ordered (channel, tap row, tap col), matching the
-    weight layout w.reshape(c_out, -1).
+
+def _im2col(xp, k, stride, r0, r1, out=None):
+    """Patch rows of output rows [r0, r1) of a padded 4-D array.
+
+    Returns (n, (r1 - r0) * wo, c*k*k), in ``out``'s memory if given. Patch
+    elements are ordered (channel, tap row, tap col), matching the weight
+    layout w.reshape(c_out, -1). One strided copy per tap fills them.
     """
     n, c, hp, wp = xp.shape
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), ho, wo
+    wo = (wp - k) // stride + 1
+    size = n * (r1 - r0) * wo * c * k * k
+    out = np.empty(size, xp.dtype) if out is None else out[:size]
+    taps = out.reshape(n, r1 - r0, wo, c, k, k)
+    for dy in range(k):
+        rows = slice(r0 * stride + dy, (r1 - 1) * stride + dy + 1, stride)
+        for dx in range(k):
+            tap = xp[:, :, rows, dx : dx + (wo - 1) * stride + 1 : stride]
+            taps[..., dy, dx] = tap.transpose(0, 2, 3, 1)
+    return out.reshape(n, (r1 - r0) * wo, c * k * k)
 
 
 def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
-    """Cross-correlation (no kernel flip) by im2col and one GEMM.
+    """Cross-correlation (no kernel flip) by blocked im2col and GEMM.
 
     x: (n, c_in, h, w); weight: (c_out, c_in, k, k); bias: (c_out,) or None.
     Output spatial size is floor((h + 2*pad - k)/stride) + 1. The padding
     border is filled with ``pad_value``. Keeps nothing for a backward pass:
     :func:`conv2d_vjp` rebuilds the columns from ``x``.
+
+    The columns are built one block of output rows of one image at a time,
+    in a buffer of about ``_BLOCK_BYTES``, and each block makes one GEMM
+    into its rows of the output. A block never has fewer than
+    ``_MIN_BLOCK_MNK`` multiply-adds, so only a conv too small for two such
+    blocks per image builds its whole column matrix, as one block and one
+    GEMM call over all images. The result is an (n, c_out, ho, wo) view of
+    (n, ho, wo, c_out) memory. Its bytes and that memory order are both
+    part of the bit-exact contract: later sums and GEMMs round in memory
+    order.
     """
     x = _require_4d(x)
     weight = np.asarray(weight)
@@ -73,19 +104,38 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
         raise ArgumentError(f"stride must be >= 1, got {stride}")
     if pad < 0:
         raise ArgumentError(f"pad must be >= 0, got {pad}")
-
-    c_out, c_in, k, _ = weight.shape
-    xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
-    cols, ho, wo = _im2col(xp, k, stride)
-    wmat = weight.reshape(c_out, -1)
-    y = cols @ wmat.T  # (n, L, c_out)
-    y = y.transpose(0, 2, 1).reshape(x.shape[0], c_out, ho, wo)
     if bias is not None:
         bias = np.asarray(bias)
-        if bias.shape != (c_out,):
-            raise DimensionError(f"bias must have shape ({c_out},), got {bias.shape}")
-        y = y + bias[None, :, None, None]
-    return y
+        if bias.shape != (weight.shape[0],):
+            raise DimensionError(f"bias must have shape ({weight.shape[0]},), got {bias.shape}")
+
+    c_out, c_in, k, _ = weight.shape
+    n = x.shape[0]
+    xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
+    ho = (xp.shape[2] - k) // stride + 1
+    wo = (xp.shape[3] - k) // stride + 1
+    if ho < 1 or wo < 1:
+        raise DimensionError(f"padded input {xp.shape[2:]} is smaller than the {k}x{k} kernel")
+    kk = c_in * k * k
+    rows = max(_BLOCK_BYTES // (wo * kk * xp.itemsize), -(-_MIN_BLOCK_MNK // (wo * c_out * kk)))
+    nb = ho // rows
+    if nb < 2:
+        blocks, buf = [(slice(None), 0, ho)], None
+    else:
+        # nb blocks per image of rows..2*rows-1 output rows each.
+        bounds = [ho * j // nb for j in range(nb + 1)]
+        blocks = [(slice(i, i + 1), r0, r1) for i in range(n) for r0, r1 in zip(bounds, bounds[1:])]
+        buf = np.empty(-(-ho // nb) * wo * kk, xp.dtype)
+    wmat_t = weight.reshape(c_out, -1).T
+    y = np.empty((n, ho * wo, c_out), np.result_type(xp, weight))
+    for imgs, r0, r1 in blocks:
+        np.matmul(_im2col(xp[imgs], k, stride, r0, r1, buf), wmat_t, out=y[imgs, r0 * wo : r1 * wo])
+    if bias is None:
+        return y.transpose(0, 2, 1).reshape(n, c_out, ho, wo)
+    # In place where the dtype allows. The view's strides are those of the
+    # fresh array a bias add on the (n, c_out, ho, wo) view returns.
+    y = np.add(y, bias, out=y if np.result_type(y, bias) == y.dtype else None)
+    return y.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
 
 
 conv2d_ref = conv2d_forward
@@ -128,7 +178,8 @@ def conv2d_vjp(x, weight, grad_out, stride=1, pad=0, pad_value=0.0):
     """
     x = _require_4d(x)
     xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
-    cols, _, _ = _im2col(xp, weight.shape[2], stride)
+    k = weight.shape[2]
+    cols = _im2col(xp, k, stride, 0, (xp.shape[2] - k) // stride + 1)
     return conv2d_backward(cols, grad_out, weight, x.shape, stride, pad)
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 
 from bisrnet.binarize import sign
-from bisrnet.layers import rprelu
 from bisrnet.tensor import conv2d_ref
 
 
@@ -10,7 +9,7 @@ def bisr_reference(x, layer):
 
     Kept independent of the layer's own forward: redistribution, sign,
     dense reference convolution with -1 padding and mean-|w| scaled sign
-    weights, RPReLU, residual add.
+    weights, RPReLU in its plain five-temporary form, residual add.
     """
     if layer.redistribute:
         xr = layer.gain.value[None, :, None, None] * x + layer.shift.value[None, :, None, None]
@@ -19,8 +18,8 @@ def bisr_reference(x, layer):
     w = layer.weight.value
     scale = np.asarray(np.mean(np.abs(w)), x.dtype)
     y = scale * conv2d_ref(sign(xr), sign(w), stride=1, pad=1, pad_value=-1.0)
-    z = rprelu(y, layer.beta.value, layer.gamma.value, layer.zeta.value)
-    return x + z
+    b, g, z = (p.value[None, :, None, None] for p in (layer.beta, layer.gamma, layer.zeta))
+    return x + (np.where(y > g, y - g, b * (y - g)) + z)
 
 
 def relative_error(a, b, floor=1e-6):

@@ -25,6 +25,22 @@ class TestCassiSystem:
         m[0, 0] = 5
         assert s.mask2d[0, 0] == 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    def test_mask_outside_unit_interval_rejected(self, bad):
+        m = np.full((3, 4), 0.5, dtype=np.float32)
+        m[1, 2] = bad
+        with pytest.raises(DomainError):
+            CassiSystem(m)
+
+    def test_all_nan_mask_rejected(self):
+        with pytest.raises(DomainError):
+            CassiSystem(np.full((3, 4), np.nan, dtype=np.float32))
+
+    @pytest.mark.parametrize("n_bands", [0, -1])
+    def test_band_count_below_one_rejected(self, n_bands):
+        with pytest.raises(ArgumentError):
+            CassiSystem(np.ones((3, 4), dtype=np.float32), n_bands=n_bands)
+
 
 class TestForwardCapture:
     def test_single_band_no_dispersion(self):

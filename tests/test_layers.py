@@ -61,6 +61,28 @@ class TestRPReLU:
         with pytest.raises(DimensionError):
             rprelu(np.zeros((1, 3, 2, 2)), np.ones(2), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_matches_where_form_bit_for_bit(self, dtype, channels_last):
+        # The np.where form rprelu replaced, on signed zeros, infinities,
+        # NaN and values at the pivot; the result keeps y's memory order.
+        rng = np.random.default_rng(9)
+        c = 6
+        y = rng.standard_normal((2, 5, 7, c) if channels_last else (2, c, 5, 7)).astype(dtype)
+        if channels_last:
+            y = y.transpose(0, 3, 1, 2)
+        beta, gamma, zeta = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+        beta[:3] = [-0.0, 0.0, np.inf]
+        gamma[3] = 0.0
+        y[0, 3, 0, :5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        y[1, 4, 2, 3] = gamma[4]
+        b, g, z = (p[None, :, None, None] for p in (beta, gamma, zeta))
+        with np.errstate(invalid="ignore"):
+            want = np.where(y > g, y - g, b * (y - g)) + z
+            got = rprelu(y, beta, gamma, zeta)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == (y - g).strides
+
 
 class TestBiSRConv:
     def test_zero_weights_is_identity(self):
@@ -85,6 +107,19 @@ class TestBiSRConv:
             p.value += rng.standard_normal(p.value.shape).astype(np.float32) * 0.1
         x = rng.standard_normal((2, 4, 7, 7)).astype(np.float32)
         np.testing.assert_array_equal(layer.forward(x), bisr_reference(x, layer))
+
+    @pytest.mark.parametrize("shape", [(2, 8, 16, 16), (1, 28, 64, 64)])
+    def test_output_bytes_and_memory_order_match_reference(self, shape):
+        # The larger output (448 KiB) takes the conv's channel-last order,
+        # the smaller one x's order; the reference sums in the same form.
+        rng = np.random.default_rng(6)
+        layer = BiSRConv(shape[1], rng)
+        for p in layer.params():
+            p.value += rng.standard_normal(p.value.shape).astype(np.float32) * 0.1
+        x = rng.standard_normal(shape).astype(np.float32)
+        got, want = layer.forward(x), bisr_reference(x, layer)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
 
     def test_zero_grad_out_gives_zero_grads(self):
         rng = np.random.default_rng(4)

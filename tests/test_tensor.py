@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bisrnet.errors import ArgumentError, DimensionError
 from bisrnet.tensor import (
@@ -101,6 +105,109 @@ class TestConv2dRef:
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 np.testing.assert_allclose(grad.reshape(-1)[i], fd, rtol=1e-5, atol=1e-8)
+
+
+def one_gemm_conv(x, w, bias, stride, pad, pad_value):
+    """The single-GEMM formulation the blocked forward replaced: one
+    sliding_window_view column matrix for the whole conv, one matmul."""
+    n, c, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.full((n, c, h + 2 * pad, wd + 2 * pad), pad_value, dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k))
+    y = (cols @ w.reshape(c_out, -1).T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)
+    return y if bias is None else y + bias[None, :, None, None]
+
+
+# Every conv2d_forward shape one 256x256 reconstruction runs, binarized net
+# and base model together: (x shape, weight shape, stride, pad).
+RECON_CONVS = [
+    ((1, 28, 256, 256), (28, 28, 1, 1), 1, 0),
+    ((1, 28, 256, 256), (28, 28, 3, 3), 1, 1),
+    ((1, 28, 256, 256), (56, 28, 4, 4), 2, 1),
+    ((1, 56, 128, 128), (56, 56, 3, 3), 1, 1),
+    ((1, 56, 128, 128), (112, 56, 4, 4), 2, 1),
+    ((1, 56, 256, 256), (28, 56, 1, 1), 1, 0),
+    ((1, 56, 256, 256), (56, 56, 3, 3), 1, 1),
+    ((1, 84, 256, 256), (28, 84, 1, 1), 1, 0),
+    ((1, 112, 64, 64), (112, 112, 3, 3), 1, 1),
+    ((1, 112, 128, 128), (112, 112, 3, 3), 1, 1),
+    ((1, 168, 128, 128), (56, 168, 1, 1), 1, 0),
+]
+
+# (x shape, weight shape, stride, pad, pad value, dtype). Block counts are
+# for a 1 MiB block and at least 2**23 multiply-adds per block.
+ODD_CONVS = [
+    # n=2, 16 blocks of 8 rows per image.
+    ((2, 28, 128, 128), (56, 28, 3, 3), 1, 1, 0.0, np.float32),
+    # n=3, two blocks of 48 and 49 rows per image, -1 padding.
+    ((3, 8, 97, 200), (16, 8, 3, 3), 1, 1, -1.0, np.float32),
+    # pad 0, 11 blocks of 11 or 12 rows per image.
+    ((2, 28, 130, 90), (56, 28, 3, 3), 1, 0, 0.0, np.float32),
+    # Odd height at stride 2, 5 blocks of 13 rows per image.
+    ((2, 28, 131, 90), (56, 28, 4, 4), 2, 1, 0.0, np.float32),
+    # float64; 256 rows do not split evenly: 85 blocks of 3 or 4 rows.
+    ((1, 28, 256, 256), (56, 28, 3, 3), 1, 1, 0.0, np.float64),
+    # float64 and too small to split: 7-row blocks round differently here.
+    ((2, 16, 64, 64), (8, 16, 3, 3), 1, 1, 0.0, np.float64),
+    # A 1x1 conv that keeps one GEMM over both images.
+    ((2, 8, 32, 32), (8, 8, 1, 1), 1, 0, 0.0, np.float32),
+    # Few output channels: 1 MiB would be 2-row blocks of 2.6e5
+    # multiply-adds, which round differently; the minimum keeps one block.
+    ((1, 112, 64, 64), (2, 112, 3, 3), 1, 1, 0.0, np.float32),
+    # The minimum, not 1 MiB, sets the size: 17 blocks of 15 or 16 rows.
+    ((1, 64, 256, 256), (4, 64, 3, 3), 1, 1, 0.0, np.float32),
+]
+
+
+class TestBlockedConvForward:
+    """conv2d_forward builds its columns in blocks; its result must keep the
+    bytes and the memory order of the single-GEMM form."""
+
+    @staticmethod
+    def check(x_shape, w_shape, stride, pad, pad_value, dtype, bias=True):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = rng.standard_normal(w_shape).astype(dtype)
+        b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
+        got = conv2d_forward(x, w, b, stride=stride, pad=pad, pad_value=pad_value)
+        want = one_gemm_conv(x, w, b, stride, pad, np.asarray(pad_value, dtype))
+        assert got.dtype == want.dtype
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", RECON_CONVS)
+    def test_recon_shapes_match_one_gemm(self, x_shape, w_shape, stride, pad):
+        self.check(x_shape, w_shape, stride, pad, 0.0, np.float32)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,pad_value,dtype", ODD_CONVS)
+    def test_odd_shapes_match_one_gemm(self, x_shape, w_shape, stride, pad, pad_value, dtype):
+        self.check(x_shape, w_shape, stride, pad, pad_value, dtype, bias=False)
+
+    def test_output_memory_order(self):
+        y = conv2d_forward(np.ones((2, 3, 8, 8), np.float32), np.ones((5, 3, 3, 3), np.float32),
+                           np.ones(5, np.float32), pad=1)
+        assert y.shape == (2, 5, 8, 8)
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_peak_memory_stays_near_the_output(self):
+        # The full column matrix alone would take 9x the output's bytes.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 56, 256, 256)).astype(np.float32)
+        w = rng.standard_normal((56, 56, 3, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y = conv2d_forward(x, w, pad=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * y.nbytes
+
+    def test_kernel_larger_than_padded_input(self):
+        with pytest.raises(DimensionError):
+            conv2d_forward(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)))
 
 
 class TestAvgPool:
