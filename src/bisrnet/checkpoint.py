@@ -34,7 +34,17 @@ def _role(name):
 
 
 def save_checkpoint(net, directory):
+    """Write the network's parameters to ``directory``.
+
+    An existing index is removed before the first ``.hst`` file is written,
+    and the new index is renamed into place only after the last one, so a
+    save that fails partway leaves no index for ``load_checkpoint`` to
+    follow into a mix of old and new files.
+    """
     os.makedirs(directory, exist_ok=True)
+    index_path = os.path.join(directory, INDEX_NAME)
+    if os.path.exists(index_path):
+        os.remove(index_path)
     lines = []
     for i, p in enumerate(net.params()):
         fname = f"{i:04d}.hst"
@@ -42,8 +52,10 @@ def save_checkpoint(net, directory):
         write_hst(os.path.join(directory, fname), flat)
         shape = ",".join(str(s) for s in p.value.shape) or "scalar"
         lines.append(f"{p.name}\t{shape}\t{_role(p.name)}\t{fname}")
-    with open(os.path.join(directory, INDEX_NAME), "w") as fh:
+    tmp_path = index_path + ".tmp"
+    with open(tmp_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp_path, index_path)
 
 
 def load_checkpoint(net, directory):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cassi
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, DomainError
 
 LOSS_FLOOR = 1e-12
 PSNR_CAP_DB = 100.0
@@ -202,7 +202,13 @@ def synthetic_stream(n_bands, cfg, scene_size=None, n_scenes=4, sys_step=2):
 
 
 def train(net, cfg, batch_fn, log_every=0):
-    """Run cfg.steps Adam updates; returns [(step, lr, loss), ...]."""
+    """Run cfg.steps Adam updates; returns [(step, lr, loss), ...].
+
+    A non-finite loss, or a non-finite gradient in any parameter, raises
+    DomainError naming the step (and the first such parameter, in
+    ``net.params()`` order) before the update can spread it into the
+    weights.
+    """
     params = net.params()
     state = AdamState.for_params(params)
     history = []
@@ -210,8 +216,13 @@ def train(net, cfg, batch_fn, log_every=0):
         h_in, m_in, target = batch_fn(step)
         pred = net.forward(h_in.astype(net.dtype), m_in.astype(net.dtype))
         loss, grad = rmse_loss(pred, target.astype(net.dtype))
+        if not math.isfinite(loss):
+            raise DomainError(f"step {step}: loss is {loss}")
         net.zero_grads()
         net.backward(grad)
+        for p in params:
+            if not np.isfinite(p.grad).all():
+                raise DomainError(f"step {step}: gradient of {p.name} is not finite")
         lr = cosine_lr(step, cfg.steps, cfg.lr_max, cfg.lr_min)
         adam_step(params, state, lr)
         history.append((step, lr, loss))

@@ -241,3 +241,87 @@ class TestChannelPackedKernel:
         assert words.shape == (2, 3, 3, 2)
         assert words[1, 2, 0, 1] == np.uint64(1 << 2)
         assert np.count_nonzero(words) == 1
+
+
+class TestTapPackedKernel:
+    """Tap t = dy*k + dx fills patch bits [t*c_in, (t+1)*c_in), so for c_in
+    not a multiple of 64 the taps straddle patch-word boundaries."""
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        c_in=st.sampled_from([8, 28, 29, 36, 63]),
+        c_out=st.sampled_from([1, 3, 5, 7]),
+        h=st.integers(4, 9),
+        w=st.integers(4, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference_across_field_edges(self, k, stride, pad, c_in, c_out, h, w, seed):
+        rng = np.random.default_rng(seed)
+        xd = random_pm1(rng, (2, c_in, h, w))
+        wd = random_pm1(rng, (c_out, c_in, k, k))
+        got = bit_conv2d(pack(xd), pack(wd), scale=1.0, stride=stride, pad=pad)
+        want = conv2d_ref(xd, wd, stride=stride, pad=pad, pad_value=-1.0)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("c_in", [255, 256])
+    def test_1x1_matches_reference(self, c_in):
+        rng = np.random.default_rng(c_in)
+        xd = random_pm1(rng, (2, c_in, 5, 6))
+        wd = random_pm1(rng, (3, c_in, 1, 1))
+        got = bit_conv2d(pack(xd), pack(wd), scale=1.0, stride=1, pad=0)
+        np.testing.assert_array_equal(got, conv2d_ref(xd, wd, stride=1, pad=0))
+
+    @pytest.mark.parametrize(
+        "c_in,k",
+        [(28, 3), (29, 3), (255, 1), (256, 1), (7281, 3), (7282, 3)],
+    )
+    def test_full_agreement_and_disagreement(self, c_in, k):
+        # k*k*c_in mismatches on either side of the uint8 (255) and uint16
+        # (65535) accumulator limits.
+        x = pack(np.ones((1, c_in, k, k + 1), dtype=np.float32))
+        for sign_w in (1.0, -1.0):
+            w = pack(np.full((2, c_in, k, k), sign_w, dtype=np.float32))
+            got = bit_conv2d(x, w, scale=1.0, stride=1, pad=0)
+            np.testing.assert_array_equal(got, np.full((1, 2, 1, 2), sign_w * k * k * c_in))
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
+    def test_row_blocks_match_one_block(self, monkeypatch, k, stride, pad):
+        rng = np.random.default_rng(14)
+        xd = random_pm1(rng, (2, 28, 13, 11))
+        wd = random_pm1(rng, (5, 28, k, k))
+        want = bit_conv2d(pack(xd), pack(wd), stride=stride, pad=pad)
+        monkeypatch.setattr(bitpack, "_BLOCK_OUTPUTS", 7)  # one output row per block
+        got = bit_conv2d(pack(xd), pack(wd), stride=stride, pad=pad)
+        np.testing.assert_array_equal(got, want)
+        want_ref = conv2d_ref(xd, wd, stride=stride, pad=pad, pad_value=-1.0)
+        np.testing.assert_array_equal(got, want_ref)
+
+    @pytest.mark.parametrize("c_in", [28, 36])
+    def test_tail_bits_are_dont_care(self, c_in):
+        rng = np.random.default_rng(15)
+        xd = random_pm1(rng, (2, c_in, 6, 7))
+        wd = random_pm1(rng, (3, c_in, 3, 3))
+        x, w = pack(xd), pack(wd)
+        tail = ~bitpack._tail_mask(c_in)
+
+        def noisy(bt):
+            noise = rng.integers(0, 2**63, bt.words.shape, dtype=np.uint64) & tail
+            return BitTensor(bt.shape, bt.words | noise)
+
+        noisy_x, noisy_w = noisy(x), noisy(w)
+        assert (noisy_x.words != x.words).any() and (noisy_w.words != w.words).any()
+        np.testing.assert_array_equal(bit_conv2d(noisy_x, noisy_w), bit_conv2d(x, w))
+
+    @pytest.mark.parametrize("out_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_result_is_channel_last_memory(self, out_dtype, scale):
+        rng = np.random.default_rng(16)
+        xd = random_pm1(rng, (2, 28, 6, 7))
+        wd = random_pm1(rng, (5, 28, 3, 3))
+        got = bit_conv2d(pack(xd), pack(wd), scale=scale, out_dtype=out_dtype)
+        channel_last = np.empty((2, 6, 7, 5), dtype=out_dtype).transpose(0, 3, 1, 2)
+        assert got.dtype == out_dtype
+        assert got.shape == channel_last.shape and got.strides == channel_last.strides
+        want = conv2d_ref(xd, wd, stride=1, pad=1, pad_value=-1.0).astype(out_dtype)
+        np.testing.assert_array_equal(got, np.asarray(scale, out_dtype) * want)

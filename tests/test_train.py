@@ -1,11 +1,15 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
+from bisrnet import checkpoint
 from bisrnet.cassi import CassiSystem, random_mask, synth_scene
 from bisrnet.checkpoint import load_checkpoint, save_checkpoint
-from bisrnet.errors import ArgumentError, DimensionError, StateError
+from bisrnet.errors import ArgumentError, DimensionError, DomainError, StateError
+from bisrnet.hst import read_hst, write_hst
 from bisrnet.layers import Param
 from bisrnet.network import NetworkConfig, build
 from bisrnet.train import (
@@ -206,6 +210,41 @@ class TestTrainLoop:
         assert rows[0][1] == 100.0
         assert rows[0][2] == pytest.approx(1.0)
 
+    def test_non_finite_loss_raises_at_its_step(self):
+        net = tiny_net(seed=2)
+        cfg = TrainConfig(steps=4, batch=1, patch=16, seed=0)
+        stream = synthetic_stream(8, cfg)
+
+        def batch_fn(step):
+            h_in, m_in, target = stream(step)
+            if step == 2:
+                target[0, 0, 0, 0] = np.nan
+            return h_in, m_in, target
+
+        with pytest.raises(DomainError, match=r"^step 2: loss is nan$"):
+            train(net, cfg, batch_fn)
+        assert all(np.isfinite(p.value).all() for p in net.params())
+
+    def test_non_finite_grad_names_step_and_first_param(self, monkeypatch):
+        net = tiny_net(seed=2)
+        params = net.params()
+        backward = net.backward
+
+        def poisoned(grad):
+            out = backward(grad)
+            params[7].grad.flat[0] = np.inf
+            params[3].grad.flat[-1] = -np.inf
+            return out
+
+        monkeypatch.setattr(net, "backward", poisoned)
+        cfg = TrainConfig(steps=2, batch=1, patch=16, seed=0)
+        before = [p.value.copy() for p in params]
+        msg = rf"^step 0: gradient of {re.escape(params[3].name)} is not finite$"
+        with pytest.raises(DomainError, match=msg):
+            train(net, cfg, synthetic_stream(8, cfg))
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p.value, b)
+
     def test_evaluate_reports_per_scene(self):
         net = tiny_net(seed=1)
         scenes = [synth_scene(s, 16, 16, 8) for s in range(2)]
@@ -236,3 +275,32 @@ class TestCheckpoint:
         other = build(NetworkConfig(base_channels=8, n_wavelengths=8, ste="clip"), seed=0)
         with pytest.raises(StateError):
             load_checkpoint(other, tmp_path / "ckpt")
+
+    def test_good_save_layout(self, tmp_path):
+        net = tiny_net(seed=5)
+        params = net.params()
+        save_checkpoint(net, tmp_path / "ckpt")
+        names = [f"{i:04d}.hst" for i in range(len(params))]
+        assert sorted(os.listdir(tmp_path / "ckpt")) == names + ["index.txt"]
+        lines = (tmp_path / "ckpt" / "index.txt").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == [p.name for p in params]
+        assert [line.split("\t")[3] for line in lines] == names
+        for p, fname in zip(params, names):
+            stored = read_hst(tmp_path / "ckpt" / fname)
+            np.testing.assert_array_equal(stored.reshape(p.value.shape), p.value)
+
+    def test_failed_save_leaves_no_index(self, tmp_path, monkeypatch):
+        save_checkpoint(tiny_net(seed=5), tmp_path / "ckpt")
+        calls = []
+
+        def failing_write(path, arr):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_hst(path, arr)
+
+        monkeypatch.setattr(checkpoint, "write_hst", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_net(seed=6), tmp_path / "ckpt")
+        with pytest.raises(IOError, match="checkpoint index not found"):
+            load_checkpoint(tiny_net(seed=7), tmp_path / "ckpt")
