@@ -7,6 +7,7 @@ An ``.hst`` file holds one 4-D single-precision tensor:
     bytes 20..    n*c*h*w little-endian IEEE-754 float32, row-major (n, c, h, w)
 """
 
+import os
 import struct
 
 import numpy as np
@@ -36,11 +37,14 @@ def read_hst(path):
         if len(header) != 16:
             raise IOError(f"{path}: truncated header")
         n, c, h, w = struct.unpack("<4I", header)
+        # Check the size before reading, so a bad header never sizes a read.
+        expected = 20 + 4 * n * c * h * w
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise IOError(
+                f"{path}: file is {size} bytes; the header and a ({n}, {c}, {h}, {w}) "
+                f"float32 payload need {expected}"
+            )
         payload = fh.read()
-    expected = n * c * h * w * 4
-    if len(payload) != expected:
-        raise IOError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
     data = np.frombuffer(payload, dtype="<f4")
     return data.reshape(n, c, h, w).copy()

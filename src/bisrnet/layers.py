@@ -28,12 +28,22 @@ overrides ``params`` and ``count_macs``. A layer that keeps a cache sets
 backward, which raises StateError when no forward came first; a composite
 without a cache of its own gets the same check from its sub-layers.
 
-A cache holds the forward input plus what the backward cannot cheaply
-recompute, and never im2col columns, which are k*k times the input's
-size for a stride-1 k x k kernel: every convolution takes its gradients
-from ``conv2d_vjp``, which rebuilds the columns from the cached input. A
-forward therefore holds about one input-sized array per layer, and
-inference needs no separate mode.
+A cache holds only what the backward cannot cheaply recompute, each at
+its exact width:
+
+- every convolution caches its input and never im2col columns, which are
+  k*k times the input's size for a stride-1 k x k kernel; it takes its
+  gradients from ``conv2d_vjp``, which rebuilds the columns from that
+  input;
+- :class:`BiSRConv` caches its input ``x`` plus the raw popcount sums,
+  which are integers with ``|raw| <= k*k*c_in`` and so sit exactly in
+  2-byte int16 (int32 beyond 32767). The redistributed input ``xr`` is
+  recomputed from ``x`` in the backward by the forward's own helper, so
+  it matches the forward's ``xr`` in bytes and memory order;
+- :class:`ConvBlock` caches the leaky activation, the very array that
+  ``conv2`` caches as its input, so the two share it.
+
+Inference needs no separate mode.
 
 Three building blocks make up the paper's modules:
 
@@ -203,7 +213,8 @@ class VanillaBinConv(_Conv):
 
     def _binconv(self, x, surrogate):
         """Returns (scale * conv(sign(x), sign(w)), cache), with both signs
-        replaced by their surrogates when ``surrogate``."""
+        replaced by their surrogates when ``surrogate``. On the sign path
+        the cached raw sums are integers, kept as int16 where they fit."""
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         scale, w_sign = binarize_weights(self.weight.value)
         if surrogate:
@@ -211,16 +222,20 @@ class VanillaBinConv(_Conv):
             raw = conv2d_forward(xb, wq, stride=self.stride, pad=self.pad, pad_value=-1.0)
         else:
             # sign(x) goes straight into bits; the backward recomputes it.
+            # int16 -> float is exact, so scale * raw and grad * raw keep
+            # the bytes a float raw would give.
+            n_bits = self.k * self.k * self.c_in
             raw = bitpack.bit_conv2d(
-                bitpack.sign_pack(x), bitpack.pack(w_sign),
-                scale=1.0, stride=self.stride, pad=self.pad, out_dtype=x.dtype,
+                bitpack.sign_pack(x), bitpack.pack(w_sign), scale=1.0,
+                stride=self.stride, pad=self.pad,
+                out_dtype=np.int16 if n_bits <= np.iinfo(np.int16).max else np.int32,
             )
         return np.asarray(scale, x.dtype) * raw, (x, surrogate, w_sign, scale, raw, alpha)
 
     def _binconv_backward(self, cache, grad):
-        """Accumulates weight.grad; returns the gradients wrt the signed
-        input and wrt x. The weight path always backpropagates through the
-        clip surrogate plus the derivative of the mean-|w| scale."""
+        """Accumulates weight.grad; returns the gradient wrt the signed
+        input. The weight path always backpropagates through the clip
+        surrogate plus the derivative of the mean-|w| scale."""
         x, surrogate, w_sign, scale, raw, alpha = cache
         xb, wq = self._operands(x, w_sign, surrogate, alpha)
         gscale = float((grad * raw).sum())
@@ -228,14 +243,16 @@ class VanillaBinConv(_Conv):
         gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
         w = self.weight.value
         self.weight.grad += gwq * ste_grad(w, "clip") + (gscale / w.size) * w_sign
-        return gxb, gxb * ste_grad(x, self.ste, alpha)
+        return gxb
 
     def forward(self, x, surrogate=False):
         y, self._cache = self._binconv(x, surrogate)
         return y
 
     def backward(self, grad_out):
-        return self._binconv_backward(self._pop_cache(), grad_out)[1]
+        cache = self._pop_cache()
+        x, alpha = cache[0], cache[-1]
+        return self._binconv_backward(cache, grad_out) * ste_grad(x, self.ste, alpha)
 
 
 class BiSRConv(VanillaBinConv):
@@ -250,6 +267,12 @@ class BiSRConv(VanillaBinConv):
     "tanh", adds a learnable sharpness alpha. The weight path always
     backpropagates through the clip surrogate so that alpha's gradient is
     exactly sum(g * x_r * (1 - tanh(alpha x_r)^2)).
+
+    The cache is ``(x, surrogate, w_sign, scale, raw, alpha)``: the input
+    plus the raw conv sums, which are int16 on the sign path. The
+    redistributed input x_r is not kept; the backward recomputes it with
+    :meth:`_redistribute`, the forward's own helper, and the RPReLU
+    pre-activation as scale * raw.
     """
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
@@ -272,30 +295,33 @@ class BiSRConv(VanillaBinConv):
         ps = [self.weight, self.gain, self.shift, self.alpha, self.beta, self.gamma, self.zeta]
         return [p for p in ps if p is not None]
 
+    def _redistribute(self, x):
+        """The per-channel affine x_r = gain * x + shift, or x itself."""
+        if not self.redistribute:
+            return x
+        return self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
+
     def forward(self, x, surrogate=False):
         if x.shape[1] != self.channels:
             raise DimensionError(
                 f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
             )
-        xr = x
-        if self.redistribute:
-            xr = self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
-        y, conv_cache = self._binconv(xr, surrogate)
-        self._cache = (x, *conv_cache)
+        y, conv_cache = self._binconv(self._redistribute(x), surrogate)
+        self._cache = (x, *conv_cache[1:])
         # numpy adds x in place into rprelu's unreferenced result once that
         # holds 256 KiB or more (temporary elision), so a large output keeps
         # y's memory order; an explicit += would reorder small outputs too.
         return x + rprelu(y, self.beta.value, self.gamma.value, self.zeta.value)
 
     def backward(self, grad_out):
-        cache = self._pop_cache()
-        x, xr, _, _, scale, raw, alpha = cache
+        x, *conv_cache = self._pop_cache()
+        _, _, scale, raw, alpha = conv_cache
         if grad_out.shape != x.shape:
             raise DimensionError(
                 f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
             )
         # RPReLU backward, its mask recomputed from the pre-activation y.
-        y = np.asarray(scale, xr.dtype) * raw
+        y = np.asarray(scale, x.dtype) * raw
         g = self.gamma.value[None, :, None, None]
         mask = y > g
         gy = grad_out * np.where(
@@ -305,10 +331,17 @@ class BiSRConv(VanillaBinConv):
         self.gamma.grad += (-gy).sum(axis=(0, 2, 3))
         self.zeta.grad += grad_out.sum(axis=(0, 2, 3))
 
-        gxb, gxr = self._binconv_backward(cache[1:], gy)
+        xr = self._redistribute(x)
+        gxb = self._binconv_backward((xr, *conv_cache), gy)
         if self.alpha is not None:
+            # ste_grad's tanh derivative alpha * d and alpha's gradient
+            # share d = 1 - tanh(alpha x_r)^2.
             t = np.tanh(alpha * xr)
-            self.alpha.grad += (gxb * xr * (1.0 - t * t)).sum()
+            d = 1.0 - t * t
+            gxr = gxb * (alpha * d)
+            self.alpha.grad += (gxb * xr * d).sum()
+        else:
+            gxr = gxb * ste_grad(xr, self.ste, alpha)
         if not self.redistribute:
             return gxr + grad_out
         self.gain.grad += (gxr * x).sum(axis=(0, 2, 3))
@@ -351,15 +384,18 @@ class ConvBlock(Layer):
         self.layers = [self.conv1, self.conv2]
 
     def forward(self, x, surrogate=False):
-        self._cache = y1 = self.conv1.forward(x)
+        y1 = self.conv1.forward(x)
         slope = np.asarray(LEAKY_SLOPE, x.dtype)
-        return x + self.conv2.forward(np.where(y1 > 0, y1, slope * y1))
+        # conv2 caches a as its input; this cache is the same array. With a
+        # positive slope, a > 0 exactly where y1 > 0, NaN and -0 included.
+        self._cache = a = np.where(y1 > 0, y1, slope * y1)
+        return x + self.conv2.forward(a)
 
     def backward(self, grad_out):
-        y1 = self._pop_cache()
+        a = self._pop_cache()
         ga = self.conv2.backward(grad_out)
         slope = np.asarray(LEAKY_SLOPE, ga.dtype)
-        return self.conv1.backward(ga * np.where(y1 > 0, np.asarray(1, ga.dtype), slope)) + grad_out
+        return self.conv1.backward(ga * np.where(a > 0, np.asarray(1, ga.dtype), slope)) + grad_out
 
 
 class Chain(Layer):

@@ -38,6 +38,13 @@ class TestHstFormat:
         with pytest.raises(IOError, match="payload"):
             read_hst(path)
 
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.hst"
+        path.write_bytes(MAGIC + struct.pack("<4I", 65535, 65535, 65535, 65535) + b"\x00" * 16)
+        expected = 20 + 4 * 65535**4
+        with pytest.raises(IOError, match=rf"huge\.hst: file is 36 bytes.* need {expected}"):
+            read_hst(path)
+
     def test_non_4d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_hst(tmp_path / "x.hst", np.zeros((2, 2)))

@@ -97,7 +97,18 @@ class TestBiSRConv:
         layer = BiSRConv(3, rng)
         x = rand_pm1(rng, (1, 3, 5, 5))
         layer.forward(x)
-        np.testing.assert_array_equal(sign(layer._cache[1]), x)  # the signed input
+        # The signed input is sign(x_r), with x_r recomputed from the cache
+        # as the backward recomputes it.
+        np.testing.assert_array_equal(sign(layer._redistribute(layer._cache[0])), x)
+
+    def test_cache_holds_input_and_int16_raw_sums(self):
+        rng = np.random.default_rng(2)
+        layer = BiSRConv(4, rng)
+        x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
+        layer.forward(x)
+        cached_x, _, _, _, raw, _ = layer._cache
+        assert cached_x is x
+        assert raw.dtype == np.int16
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(3)
@@ -177,6 +188,12 @@ class TestConvBlock:
         zero_weights(block)
         x = rng.standard_normal((1, 3, 6, 6)).astype(np.float32)
         np.testing.assert_array_equal(block.forward(x), x)
+
+    def test_cache_is_shared_with_conv2(self):
+        rng = np.random.default_rng(7)
+        block = ConvBlock(3, rng)
+        block.forward(rng.standard_normal((1, 3, 6, 6)).astype(np.float32))
+        assert block._cache is block.conv2._cache
 
     def test_inner_convs_linear(self):
         rng = np.random.default_rng(8)
@@ -350,6 +367,22 @@ class TestNormalModules:
         scale = np.asarray(np.mean(np.abs(w)), np.float32)
         want = scale * conv2d_ref(sign(x), sign(w), stride=2, pad=1, pad_value=-1.0)
         np.testing.assert_array_equal(mod.forward(x), want)
+
+    def test_wide_fan_in_keeps_int32_raw_sums(self):
+        # 3 * 3 * 3641 = 32769 bits. With every sign +1, the centre output
+        # of a 3x3 input sums all of them, one past int16's range.
+        from bisrnet.tensor import conv2d_ref
+
+        rng = np.random.default_rng(25)
+        conv = VanillaBinConv(3641, 2, 3, 1, 1, rng)
+        conv.weight.value[...] = np.abs(conv.weight.value) + 0.01
+        x = rng.random((1, 3641, 3, 3)).astype(np.float32) + 0.01
+        conv.forward(x)
+        raw = conv._cache[4]
+        assert raw.dtype == np.int32
+        assert raw[0, 0, 1, 1] == 32769
+        want = conv2d_ref(sign(x), sign(conv.weight.value), stride=1, pad=1, pad_value=-1.0)
+        np.testing.assert_array_equal(raw, want)
 
     @pytest.mark.parametrize("build", [
         lambda rng: NormalDown(4, rng, dtype=np.float64),

@@ -148,11 +148,11 @@ class TestBackward:
         with pytest.raises(StateError):
             net.backward(np.zeros_like(out))  # cache already consumed
 
-    def test_forward_caches_inputs_not_columns(self):
-        # Layers cache their inputs, never im2col columns (9-16x an input):
-        # what a forward leaves held for backward stays a small multiple
-        # of the input.
-        net = build(NetworkConfig.base_model(base_channels=8, n_wavelengths=8), seed=0)
+    @staticmethod
+    def held_after_forward(cfg):
+        """Bytes a (1, 8, 64, 64) forward leaves held besides its output,
+        as a multiple of one input's bytes."""
+        net = build(cfg(base_channels=8, n_wavelengths=8), seed=0)
         h_in, m_in = tiny_inputs(np.random.default_rng(1), nl=8, h=64, w=64)
         tracemalloc.start()
         try:
@@ -161,7 +161,21 @@ class TestBackward:
             held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
         finally:
             tracemalloc.stop()
-        assert held < 40 * h_in.nbytes, held / h_in.nbytes
+        return held / h_in.nbytes
+
+    def test_forward_caches_inputs_not_columns(self):
+        # Layers cache their inputs, never im2col columns (9-16x an input):
+        # what a forward leaves held for backward stays a small multiple
+        # of the input.
+        ratio = self.held_after_forward(NetworkConfig.base_model)
+        assert ratio < 40, ratio
+
+    def test_binarized_forward_caches_are_compact(self):
+        # BiSRConv keeps x plus 2-byte raw sums and recomputes x_r, and
+        # ConvBlock shares conv2's input: 26x the input here, where caching
+        # x_r and float32 sums held 47x.
+        ratio = self.held_after_forward(NetworkConfig.bisrnet)
+        assert ratio < 32, ratio
 
     def test_grads_deterministic(self):
         rng = np.random.default_rng(6)
