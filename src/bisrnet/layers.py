@@ -251,7 +251,7 @@ class VanillaBinConv(_Conv):
 
     def backward(self, grad_out):
         cache = self._pop_cache()
-        x, alpha = cache[0], cache[-1]
+        x, *_, alpha = cache
         return self._binconv_backward(cache, grad_out) * ste_grad(x, self.ste, alpha)
 
 
