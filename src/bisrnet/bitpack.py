@@ -32,6 +32,14 @@ so the kernel makes one XOR + popcount + add pass per patch word, and its
 integer output matches the dense reference convolution with pad_value=-1
 bit for bit. When c_in is a multiple of 64 the patch words are the
 channel words of the taps, in tap order.
+
+The passes run over planes. A block of output rows keeps its patch as one
+contiguous plane per patch word q, holding word q of every pixel in the
+block, and XORs that plane against output channel o's word q as a scalar.
+Each XOR, popcount and add is then a unit-stride loop over a whole plane,
+where a per-pixel broadcast against the c_out weight words would run an
+inner loop only c_out long. The sums land in a (c_out, pixels) array and
+are written to the channel-last result once per block.
 """
 
 from dataclasses import dataclass
@@ -43,7 +51,7 @@ from .errors import ArgumentError, DimensionError, DomainError
 WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-_BLOCK_OUTPUTS = 1 << 16
+_BLOCK_OUTPUTS = 1 << 12  # output pixels per row block, i.e. words per plane
 
 
 def words_per_row(n_bits):
@@ -174,8 +182,15 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
     ceil(k*k*c_in/64) patch words, tap t = dy*k + dx at bits
     [t*c_in, (t+1)*c_in); the weights are packed the same way, and the
     result is k*k*c_in - 2 * sum over patch words q of
-    popcount(patch[q] XOR wpatch[o, q]). The result is an (n, c_out, ho, wo)
-    view of (n, ho, wo, c_out) memory.
+    popcount(patch[q] XOR wpatch[o, q]). Output rows are processed in
+    blocks of about _BLOCK_OUTPUTS pixels; patch word q of a block is one
+    contiguous plane over its n*rows*wo pixels, so every pass is a
+    unit-stride sweep of a plane against one weight word. The result is an
+    (n, c_out, ho, wo) view of (n, ho, wo, c_out) memory.
+
+    ``out_dtype`` is a float type, or a signed integer type that holds
+    +-k*k*c_in; an integer type returns the raw sums and needs
+    scale == 1.0. Anything else raises ArgumentError.
     """
     if not isinstance(x, BitTensor) or not isinstance(w, BitTensor):
         raise ArgumentError("bit_conv2d operates on BitTensor operands")
@@ -190,6 +205,16 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
     if ho <= 0 or wo <= 0:
         raise DimensionError(f"empty output for input {h}x{wd}, kernel {k}, pad {pad}")
 
+    n_bits = k * k * c_in
+    out_dtype = np.dtype(out_dtype)
+    if out_dtype.kind not in "fi":
+        raise ArgumentError(f"out_dtype must be a float or signed integer type, got {out_dtype}")
+    if out_dtype.kind == "i":
+        if scale != 1.0:
+            raise ArgumentError(f"an integer out_dtype needs scale == 1.0, got {scale}")
+        if np.iinfo(out_dtype).max < n_bits:
+            raise ArgumentError(f"{out_dtype} cannot hold sums of up to +-{n_bits} bits")
+
     # Zero words pad spatially (every channel -1); the tail mask clears the
     # don't-care bits of both operands, so fields can be ORed side by side.
     mask = _tail_mask(c_in)
@@ -197,47 +222,59 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
     xp[:, pad : pad + h, pad : pad + wd] = x.words
     xp &= mask
     ww = w.words & mask
-    n_bits = k * k * c_in
     fields = list(_tap_fields(c_in, k))
-    wpatch = np.zeros((c_out, words_per_row(n_bits)), dtype=np.uint64)
+    nw = words_per_row(n_bits)
+    # wpatch[q] holds patch word q of every output channel; as a (c_out, 1)
+    # column it meets a whole plane with one scalar word per output channel.
+    wpatch = np.zeros((nw, c_out), dtype=np.uint64)
     wtmp = np.empty(c_out, dtype=np.uint64)
     for dy, dx, j, bit, valid in fields:
-        _place_field(wpatch, ww[:, dy, dx, j], bit, valid, wtmp)
+        _place_field(wpatch.T, ww[:, dy, dx, j], bit, valid, wtmp)
 
-    # Row blocks of about _BLOCK_OUTPUTS outputs keep their uint64 XORs,
-    # uint8 counts and the mismatch sums in a core's L2 cache across all
-    # patch-word passes. The sums fit the narrowest type holding n_bits.
+    # Row blocks are sized by plane length (n*rows*wo pixels), not by total
+    # outputs: with c_out = 28 or 112 the XOR pass ran at 0.35-0.55 ns per
+    # word on planes of 4096 words or more and at 0.9-1.1 ns on planes of
+    # 1024-2560 (one thread of a 2-core Xeon, numpy 2.4). The (c_out,
+    # pixels) XORs, uint8 counts and mismatch sums then take a few MiB
+    # whatever the image size. The sums take the narrowest type holding
+    # n_bits.
     acc_dtype = np.uint8 if n_bits <= 0xFF else np.uint16 if n_bits <= 0xFFFF else np.int32
-    rows = max(1, min(ho, _BLOCK_OUTPUTS // (n * wo * c_out)))
-    patch = np.empty((n, rows, wo, wpatch.shape[1]), dtype=np.uint64)
-    ptmp = np.empty((n, rows, wo), dtype=np.uint64)
-    xor = np.empty((n, rows, wo, c_out), dtype=np.uint64)
+    rows = max(1, min(ho, _BLOCK_OUTPUTS // (n * wo)))
+    planes = np.empty((nw, n * rows * wo), dtype=np.uint64)
+    ptmp = np.empty(n * rows * wo, dtype=np.uint64)
+    xor = np.empty((c_out, n * rows * wo), dtype=np.uint64)
     count = np.empty(xor.shape, dtype=np.uint8)
     acc = np.empty(xor.shape, dtype=acc_dtype)
     out = np.empty((n, ho, wo, c_out), dtype=out_dtype)
     col_end = stride * (wo - 1) + 1
     for r0 in range(0, ho, rows):
         m = min(rows, ho - r0)
-        patch_m, ptmp_m, xor_m, count_m, acc_m = (
-            patch[:, :m], ptmp[:, :m], xor[:, :m], count[:, :m], acc[:, :m])
-        patch_m.fill(0)
+        # The first n*m*wo words of each buffer row, so a partial last
+        # block still has contiguous planes.
+        px = n * m * wo
+        planes_m, xor_m, count_m, acc_m = planes[:, :px], xor[:, :px], count[:, :px], acc[:, :px]
+        planes_m.fill(0)
+        patch_m = np.moveaxis(planes_m.reshape(nw, n, m, wo), 0, -1)
+        ptmp_m = ptmp[:px].reshape(n, m, wo)
         for dy, dx, j, bit, valid in fields:
             y0 = stride * r0 + dy
             view = xp[:, y0 : y0 + stride * (m - 1) + 1 : stride, dx : dx + col_end : stride, j]
             _place_field(patch_m, view, bit, valid, ptmp_m)
-        for q in range(wpatch.shape[1]):
-            np.bitwise_xor(patch_m[..., q, None], wpatch[:, q], out=xor_m)
+        for q in range(nw):
+            np.bitwise_xor(planes_m[q], wpatch[q, :, None], out=xor_m)
             if q == 0:
                 np.bitwise_count(xor_m, out=acc_m)
             else:
                 np.bitwise_count(xor_m, out=count_m)
                 np.add(acc_m, count_m, out=acc_m)
         # The sums are small integers, so n_bits - 2 * acc is exact in
-        # float32 and float64. Later sums and GEMMs round in memory order,
-        # so the (n, ho, wo, c_out) order is part of the network's
-        # bit-exact output.
+        # float32, float64 and any signed type that holds n_bits: where
+        # -2 * acc wraps, adding n_bits wraps it back. Later sums and GEMMs
+        # round in memory order, so the (n, ho, wo, c_out) order is part of
+        # the network's bit-exact output.
         out_m = out[:, r0 : r0 + m]
-        np.multiply(acc_m, out.dtype.type(-2), out=out_m)
+        np.multiply(np.moveaxis(acc_m.reshape(c_out, n, m, wo), 0, -1), out.dtype.type(-2),
+                    out=out_m)
         np.add(out_m, out.dtype.type(n_bits), out=out_m)
     if scale != 1.0:
         np.multiply(out, np.asarray(scale, dtype=out_dtype), out=out)

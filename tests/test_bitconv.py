@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,95 @@ class TestTapPackedKernel:
         assert got.shape == channel_last.shape and got.strides == channel_last.strides
         want = conv2d_ref(xd, wd, stride=1, pad=1, pad_value=-1.0).astype(out_dtype)
         np.testing.assert_array_equal(got, np.asarray(scale, out_dtype) * want)
+
+
+class TestPlaneBlocks:
+    """A row block's patch is one contiguous plane per patch word, holding
+    n*rows*wo pixels; a partial last block uses the first n*m*wo words of
+    each buffer row, so its planes stay contiguous across images."""
+
+    @pytest.mark.parametrize("n,c_in,c_out,k,stride,pad,h,w,rows", [
+        (3, 28, 5, 3, 1, 1, 13, 11, 2),     # 3 images, last block of 1 row
+        (3, 70, 5, 3, 1, 1, 13, 11, 4),     # 2 channel words per tap
+        (2, 28, 64, 3, 1, 1, 9, 10, None),  # c_out = 64, one block
+        (2, 65, 70, 3, 1, 1, 9, 10, 2),     # c_out = 70, last block of 1 row
+        (3, 29, 6, 4, 2, 1, 14, 15, 2),     # stride-2 4x4, ho = 7
+        (1, 28, 67, 4, 2, 1, 16, 16, 3),    # stride-2 4x4, c_out = 67, ho = 8
+    ])
+    def test_matches_reference(self, monkeypatch, n, c_in, c_out, k, stride, pad, h, w, rows):
+        rng = np.random.default_rng(c_in * c_out + n)
+        xd = random_pm1(rng, (n, c_in, h, w))
+        wd = random_pm1(rng, (c_out, c_in, k, k))
+        if rows is not None:
+            wo = (w + 2 * pad - k) // stride + 1
+            monkeypatch.setattr(bitpack, "_BLOCK_OUTPUTS", rows * n * wo)
+        got = bit_conv2d(pack(xd), pack(wd), stride=stride, pad=pad, out_dtype=np.int16)
+        want = conv2d_ref(xd, wd, stride=stride, pad=pad, pad_value=-1.0)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape,c_out", [((1, 28, 256, 256), 28), ((1, 112, 64, 64), 112)])
+    def test_transient_memory_does_not_grow_with_the_image(self, shape, c_out):
+        # Planes of 4096 pixels keep the XORs, counts and sums at about
+        # 1.3 MiB for c_out = 28 and 5.4 MiB for c_out = 112; one block
+        # spanning a 256x256 image would hold about 19 MiB.
+        rng = np.random.default_rng(17)
+        x = sign_pack(rng.standard_normal(shape).astype(np.float32))
+        w = sign_pack(rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            y = bit_conv2d(x, w, out_dtype=np.int16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = (shape[2] + 2) * (shape[3] + 2) * x.words.shape[-1] * x.words.itemsize
+        assert peak - y.nbytes < padded + 8 * 2**20
+
+
+class TestIntegerOutput:
+    """An integer out_dtype returns the raw sums exactly or not at all."""
+
+    def operands(self, c_in, k=3):
+        rng = np.random.default_rng(c_in)
+        return (pack(random_pm1(rng, (2, c_in, 5, 6))),
+                pack(random_pm1(rng, (3, c_in, k, k))))
+
+    @pytest.mark.parametrize("out_dtype", [np.int16, np.int32, np.int64])
+    def test_signed_types_are_exact(self, out_dtype):
+        x, w = self.operands(28)
+        got = bit_conv2d(x, w, out_dtype=out_dtype)
+        assert got.dtype == out_dtype
+        np.testing.assert_array_equal(got, bit_conv2d(x, w, out_dtype=np.float64))
+
+    @pytest.mark.parametrize("scale", [0.5, 2.7, 2.0])
+    def test_scale_other_than_one_rejected(self, scale):
+        x, w = self.operands(28)
+        with pytest.raises(ArgumentError):
+            bit_conv2d(x, w, scale=scale, out_dtype=np.int16)
+
+    @pytest.mark.parametrize("out_dtype", [np.uint8, np.uint16, np.uint64, np.bool_])
+    def test_unsigned_and_bool_rejected(self, out_dtype):
+        x, w = self.operands(8)
+        with pytest.raises(ArgumentError):
+            bit_conv2d(x, w, out_dtype=out_dtype)
+
+    def test_too_narrow_type_rejected(self):
+        x, w = self.operands(14)  # 126 bits fit int8
+        np.testing.assert_array_equal(bit_conv2d(x, w, out_dtype=np.int8),
+                                      bit_conv2d(x, w, out_dtype=np.float32))
+        x, w = self.operands(15)  # 135 bits do not
+        with pytest.raises(ArgumentError):
+            bit_conv2d(x, w, out_dtype=np.int8)
+
+    @pytest.mark.parametrize("c_in,ok", [(3640, True), (3641, False)])
+    def test_int16_limit(self, c_in, ok):
+        # 3 * 3 * 3640 = 32760 bits fit int16, 32769 do not; _binconv
+        # switches to int32 at the same limit.
+        x = pack(np.ones((1, c_in, 3, 3), dtype=np.float32))
+        for sign_w in (1.0, -1.0):
+            w = pack(np.full((1, c_in, 3, 3), sign_w, dtype=np.float32))
+            if not ok:
+                with pytest.raises(ArgumentError):
+                    bit_conv2d(x, w, pad=0, out_dtype=np.int16)
+                continue
+            got = bit_conv2d(x, w, pad=0, out_dtype=np.int16)
+            np.testing.assert_array_equal(got, np.full((1, 1, 1, 1), sign_w * 9 * c_in))
