@@ -13,6 +13,12 @@ Tail bits: bits past c in the last word are don't-care. :func:`pack` and
 :func:`sign_pack` leave them 0, but a BitTensor built by hand may set
 them; :func:`bit_conv2d` masks them out of both operands once per call.
 
+Packing goes through :func:`sign_words`: each pixel's channel signs are
+written into the first c of 64 * words_per_row(c) zeroed bools, and one
+``packbits`` runs over the flat block, whose bytes, read as little-endian
+uint64, are the words. A caller that builds its input block by block,
+as BiSRConv does, packs each block into its rows of the words.
+
 The dot product of two {-1,+1} vectors of length n packed this way is
 
     n - 2 * popcount(a XOR b)
@@ -49,7 +55,6 @@ import numpy as np
 from .errors import ArgumentError, DimensionError, DomainError
 
 WORD_BITS = 64
-_WORD_BYTES = WORD_BITS // 8
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _BLOCK_OUTPUTS = 1 << 12  # output pixels per row block, i.e. words per plane
 
@@ -58,18 +63,29 @@ def words_per_row(n_bits):
     return (n_bits + WORD_BITS - 1) // WORD_BITS
 
 
-def _pack_channels(bits):
-    """Pack a boolean (n, c, h, w) array along c into (n, h, w, words) uint64
-    words, LSB first, with zero tail bits."""
-    n, c, h, w = bits.shape
-    packed = np.packbits(np.ascontiguousarray(bits.transpose(0, 2, 3, 1)), axis=-1,
-                         bitorder="little")
-    n_bytes = words_per_row(c) * _WORD_BYTES
-    if packed.shape[-1] != n_bytes:
-        padded = np.zeros((n, h, w, n_bytes), dtype=np.uint8)
-        padded[..., : packed.shape[-1]] = packed
-        packed = padded
-    return packed.view("<u8")
+def sign_words(x, bits):
+    """The channel-packed words of sign(x) for a channel-last real block.
+
+    x: (..., c); bits: bool scratch of shape (..., 64 * words_per_row(c))
+    whose columns from c on are False. Writes ``x > 0`` into the first c
+    columns and runs ``packbits`` over the flat block, so the words come
+    out with zero tail bits. Returns (..., words_per_row(c)) uint64 words.
+    NaN raises ArgumentError, as in sign. A caller that produces x block by
+    block reuses one ``bits``: only its first c columns are ever written.
+    """
+    if np.isnan(x).any():
+        raise ArgumentError("sign() received NaN input")
+    np.greater(x, 0, out=bits[..., : x.shape[-1]])
+    packed = np.packbits(bits, axis=None, bitorder="little").view("<u8")
+    return packed.reshape(bits.shape[:-1] + (bits.shape[-1] // WORD_BITS,))
+
+
+def _pack_channels(x):
+    """Pack the signs of a real (n, c, h, w) array along c into (n, h, w,
+    words) uint64 words, LSB first, with zero tail bits."""
+    n, c, h, w = x.shape
+    bits = np.zeros((n, h, w, words_per_row(c) * WORD_BITS), dtype=bool)
+    return sign_words(x.transpose(0, 2, 3, 1), bits)
 
 
 def _tail_mask(n_bits):
@@ -99,13 +115,14 @@ class BitTensor:
 
 
 def pack(x):
-    """Pack a dense tensor whose elements are all exactly +1 or -1."""
+    """Pack a dense tensor whose elements are all exactly +1 or -1, in one
+    :func:`sign_words` block."""
     x = np.asarray(x)
     if x.ndim != 4:
         raise DimensionError(f"pack() expects (n, c, h, w), got shape {x.shape}")
     if not np.all((x == 1) | (x == -1)):
         raise DomainError("pack() requires every element to be exactly +1 or -1")
-    return BitTensor(shape=x.shape, words=_pack_channels(x > 0))
+    return BitTensor(shape=x.shape, words=_pack_channels(x))
 
 
 def sign_pack(x):
@@ -114,9 +131,7 @@ def sign_pack(x):
     x = np.asarray(x)
     if x.ndim != 4:
         raise DimensionError(f"sign_pack() expects (n, c, h, w), got shape {x.shape}")
-    if np.isnan(x).any():
-        raise ArgumentError("sign() received NaN input")
-    return BitTensor(shape=x.shape, words=_pack_channels(x > 0))
+    return BitTensor(shape=x.shape, words=_pack_channels(x))
 
 
 def unpack(bt, dtype=np.float32):

@@ -101,8 +101,14 @@ def add_shot_noise(measurement, bit_depth=11, seed=0):
 
     The measurement is normalized by its own maximum to [0, 2^bit_depth - 1]
     photon counts, each count replaced by a Poisson draw, then rescaled.
+    ``bit_depth`` runs from 1 to 62: numpy's Poisson sampler rejects a mean
+    of 2^63 - 1. A non-finite or negative measurement raises DomainError.
     """
+    if not 1 <= bit_depth <= 62:
+        raise ArgumentError(f"bit_depth must be in 1..62, got {bit_depth}")
     y = np.asarray(measurement)
+    if not np.isfinite(y).all():
+        raise DomainError("shot noise needs a finite measurement")
     if (y < 0).any():
         raise DomainError("shot noise needs a non-negative measurement")
     peak = float(y.max())

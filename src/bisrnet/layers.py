@@ -38,12 +38,22 @@ its exact width:
 - :class:`BiSRConv` caches its input ``x`` plus the raw popcount sums,
   which are integers with ``|raw| <= k*k*c_in`` and so sit exactly in
   2-byte int16 (int32 beyond 32767). The redistributed input ``xr`` is
-  recomputed from ``x`` in the backward by the forward's own helper, so
-  it matches the forward's ``xr`` in bytes and memory order;
+  recomputed from ``x`` in the backward by ``BiSRConv._redistribute``,
+  whose per-element arithmetic the forward repeats block by block;
 - :class:`ConvBlock` caches the leaky activation, the very array that
   ``conv2`` caches as its input, so the two share it.
 
 Inference needs no separate mode.
+
+:class:`BiSRConv` runs its elementwise forward in row blocks of about
+2^16 elements, in buffers reused from block to block, so that no
+full-size temporary exists besides the output and the cached sums. One
+pass per block redistributes, signs and packs the input; after the
+kernel, one pass per block computes ``x + rprelu(scale * raw)`` straight
+into the output. Blocks are whole rows of channel-last memory, and the
+per-channel parameters are tiled w times, so each ufunc runs rows w*c
+long, not c. The output is channel-last when it holds at least 256 KiB
+or when x is channel-last, and takes x's memory order otherwise.
 
 Three building blocks make up the paper's modules:
 
@@ -109,6 +119,34 @@ def uniform_fan_in(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _rprelu_params(beta, gamma, zeta, dt, shape):
+    """RPReLU's per-channel operands in dtype ``dt``, each reshaped to
+    ``shape``: the bits of beta and of 1 - beta, as unsigned integers of
+    dt's width, then gamma and zeta."""
+    uint = np.dtype(f"u{dt.itemsize}")
+    b, g, z = (np.asarray(p, dt).reshape(shape) for p in (beta, gamma, zeta))
+    b_bits = b.view(uint)
+    return b_bits, np.ones((), dt).view(uint) - b_bits, g, z
+
+
+def _rprelu_into(y, out, factor, b_bits, one_minus_b_bits, g, z):
+    """Write rprelu(y) into ``out``, which may be ``y`` itself; ``factor``
+    is unsigned scratch of out's shape and width.
+
+    The slope is 1 where y > g and beta elsewhere. Its bits come from
+    integer arithmetic on the 0/1 mask: np.where branches per element and
+    runs several times slower on a mixed mask. Multiplying by exactly 1 or
+    beta rounds as the two branches do.
+    """
+    np.greater(y, g, out=factor)
+    np.subtract(y, g, out=out)
+    factor *= one_minus_b_bits
+    factor += b_bits
+    out *= factor.view(out.dtype)
+    out += z
+    return out
+
+
 def rprelu(y, beta, gamma, zeta):
     """Per-channel shifted parametric rectifier.
 
@@ -123,19 +161,54 @@ def rprelu(y, beta, gamma, zeta):
             f"rprelu parameter length must equal channel count {c}"
         )
     dt = np.result_type(y, beta, gamma, zeta)
-    b, g, z = (np.asarray(p, dt)[None, :, None, None] for p in (beta, gamma, zeta))
-    out = y - g
-    # Scale by 1 where y > g and by beta elsewhere. The factor's bits come
-    # from integer arithmetic on the 0/1 mask: np.where branches per element
-    # and runs several times slower on a mixed mask. Multiplying by exactly
-    # 1 or beta rounds as the two branches do.
-    uint = np.dtype(f"u{dt.itemsize}")
-    factor = np.greater(y, g, out=np.empty_like(out, dtype=uint))
-    b_bits = b.view(uint)
-    factor *= np.ones((), dt).view(uint) - b_bits
-    factor += b_bits
-    out *= factor.view(dt)
-    out += z
+    prm = _rprelu_params(beta, gamma, zeta, dt, (1, c, 1, 1))
+    out = np.empty_like(y, dtype=dt)
+    return _rprelu_into(y, out, np.empty_like(out, dtype=prm[0].dtype), *prm)
+
+
+# Elements per block of BiSRConv's elementwise passes. A float32 buffer of
+# 2^16 elements holds 256 KiB, so the few buffers of a block stay in L2. On
+# one (1, 28, 256, 256) call, 2^15-2^17 ran fastest; at 2^13 the per-call
+# overhead of the dozen ufunc calls per block took over (one thread of a
+# 2-core Xeon with 2 MiB of L2 per core, numpy 2.4).
+_BLOCK_ELEMS = 1 << 16
+# A BiSRConv output of at least this many bytes is channel-last.
+_CHANNEL_LAST_BYTES = 1 << 18
+
+
+def _block_rows(n, h, row_elems):
+    """Rows per block: as many rows of ``row_elems`` elements as fit in
+    _BLOCK_ELEMS, at least one and at most n*h."""
+    return min(n * h, max(1, _BLOCK_ELEMS // row_elems))
+
+
+def _blocks(n, h, rows):
+    """(images, rows) index pairs that cover an (n, h) grid of rows in
+    blocks of at most ``rows`` rows: groups of whole images where an image
+    fits in a block, else runs of rows of one image. Every block is then a
+    plain slice of an (n, h, w, c) view, and every buffer row block
+    ``buf[:k*m]`` of a (rows, w, ...) buffer reshapes to it."""
+    if rows >= h:
+        for i in range(0, n, rows // h):
+            yield slice(i, i + rows // h), slice(None)
+    else:
+        for i in range(n):
+            for r in range(0, h, rows):
+                yield slice(i, i + 1), slice(r, r + rows)
+
+
+def _block_of(buf, like):
+    """The first rows of a (rows, w, ...) buffer, shaped as the (k, m, w,
+    ...) block ``like``."""
+    k, m = like.shape[:2]
+    return buf[: k * m].reshape((k, m) + buf.shape[1:])
+
+
+def _tile_w(p, w):
+    """A per-channel vector as a (w, c) block. Against a channel-last
+    (..., w, c) block the inner loop then runs w*c long, not c."""
+    out = np.empty((w, len(p)), p.dtype)
+    out[...] = p
     return out
 
 
@@ -211,10 +284,12 @@ class VanillaBinConv(_Conv):
         w = self.weight.value
         return ste_value(x, self.ste, alpha).astype(x.dtype), ste_value(w, "clip").astype(w.dtype)
 
-    def _binconv(self, x, surrogate):
-        """Returns (scale * conv(sign(x), sign(w)), cache), with both signs
-        replaced by their surrogates when ``surrogate``. On the sign path
-        the cached raw sums are integers, kept as int16 where they fit."""
+    def _binconv(self, x, surrogate, bits=None):
+        """Returns the cache (x, surrogate, w_sign, scale, raw, alpha), where
+        raw = conv(sign(x), sign(w)) unscaled, with both signs replaced by
+        their surrogates when ``surrogate``. On the sign path the raw sums
+        are integers, kept as int16 where they fit; ``bits``, when given,
+        is the packed input the kernel convolves in place of sign_pack(x)."""
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         scale, w_sign = binarize_weights(self.weight.value)
         if surrogate:
@@ -226,11 +301,11 @@ class VanillaBinConv(_Conv):
             # the bytes a float raw would give.
             n_bits = self.k * self.k * self.c_in
             raw = bitpack.bit_conv2d(
-                bitpack.sign_pack(x), bitpack.pack(w_sign), scale=1.0,
-                stride=self.stride, pad=self.pad,
+                bitpack.sign_pack(x) if bits is None else bits, bitpack.pack(w_sign),
+                scale=1.0, stride=self.stride, pad=self.pad,
                 out_dtype=np.int16 if n_bits <= np.iinfo(np.int16).max else np.int32,
             )
-        return np.asarray(scale, x.dtype) * raw, (x, surrogate, w_sign, scale, raw, alpha)
+        return x, surrogate, w_sign, scale, raw, alpha
 
     def _binconv_backward(self, cache, grad):
         """Accumulates weight.grad; returns the gradient wrt the signed
@@ -246,8 +321,9 @@ class VanillaBinConv(_Conv):
         return gxb
 
     def forward(self, x, surrogate=False):
-        y, self._cache = self._binconv(x, surrogate)
-        return y
+        self._cache = self._binconv(x, surrogate)
+        scale, raw = self._cache[3:5]
+        return np.asarray(scale, x.dtype) * raw
 
     def backward(self, grad_out):
         cache = self._pop_cache()
@@ -262,6 +338,10 @@ class BiSRConv(VanillaBinConv):
     Pipeline: per-channel affine (gain, shift) -> sign -> 1-bit 3x3
     convolution scaled by mean|w| -> RPReLU -> add the untouched input.
     The 1-bit convolution runs on the XNOR/popcount kernel; padding is -1.
+    The forward fuses the steps before the kernel into one blocked pass
+    (:meth:`_sign_pack_redistributed`) and the steps after it into
+    another (:meth:`_residual_rprelu`, which also states the output's
+    memory order); the surrogate path shares the second.
 
     ``ste`` picks the backward surrogate for both activations and, when
     "tanh", adds a learnable sharpness alpha. The weight path always
@@ -271,8 +351,9 @@ class BiSRConv(VanillaBinConv):
     The cache is ``(x, surrogate, w_sign, scale, raw, alpha)``: the input
     plus the raw conv sums, which are int16 on the sign path. The
     redistributed input x_r is not kept; the backward recomputes it with
-    :meth:`_redistribute`, the forward's own helper, and the RPReLU
-    pre-activation as scale * raw.
+    :meth:`_redistribute`, which the surrogate forward calls and the sign
+    forward repeats element for element, and the RPReLU pre-activation as
+    scale * raw.
     """
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
@@ -301,17 +382,83 @@ class BiSRConv(VanillaBinConv):
             return x
         return self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
 
+    def _redistributed_dtype(self, x):
+        """The dtype of ``self._redistribute(x)``."""
+        if not self.redistribute:
+            return x.dtype
+        return np.result_type(self.gain.value, x, self.shift.value)
+
+    def _sign_pack_redistributed(self, x):
+        """bitpack.sign_pack(self._redistribute(x)), one block at a time,
+        so that no full-size x_r or bit array exists. Each block computes
+        gain * x + shift as :meth:`_redistribute` does, over channel-last
+        rows against the parameters tiled w times."""
+        n, c, h, w = x.shape
+        rows = _block_rows(n, h, w * c)
+        xv = x.transpose(0, 2, 3, 1)
+        words = np.empty((n, h, w, bitpack.words_per_row(c)), np.uint64)
+        bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
+        if self.redistribute:
+            gain, shift = (_tile_w(p.value, w) for p in (self.gain, self.shift))
+            xr = np.empty((rows, w, c), self._redistributed_dtype(x))
+        for blk in _blocks(n, h, rows):
+            xb = xv[blk]
+            if self.redistribute:
+                xb = np.multiply(gain, xb, out=_block_of(xr, xb))
+                xb += shift
+            words[blk] = bitpack.sign_words(xb, _block_of(bits, xb))
+        return bitpack.BitTensor(shape=x.shape, words=words)
+
+    def _residual_rprelu(self, x, scale, raw):
+        """x + rprelu(scale * raw), one block at a time, straight into the
+        output.
+
+        ``scale`` is a 0-d array in x_r's dtype. ``raw`` is an (n, c, h, w)
+        view of channel-last memory, as both convolutions return it. Each
+        block runs scale * raw, the RPReLU passes and the residual add over
+        channel-last rows w*c long, with the per-channel parameters tiled w
+        times, in buffers reused from block to block. Every element sees
+        the arithmetic of the unfused expression, in the same dtypes.
+
+        The output is channel-last, like ``raw``, when it holds at least
+        256 KiB or when ``x`` is channel-last; otherwise it takes ``x``'s
+        memory order. That is the order numpy gives ``x + rprelu(y)``: from
+        256 KiB its temporary elision adds x into rprelu's channel-last
+        result in place. Later sums round in memory order, so the golden
+        digests pin this rule.
+        """
+        n, c, h, w = x.shape
+        params = (self.beta.value, self.gamma.value, self.zeta.value)
+        dt = np.result_type(scale, raw, *params)
+        out_dtype = np.result_type(x, dt)
+        if x.size * out_dtype.itemsize >= _CHANNEL_LAST_BYTES:
+            out = np.empty((n, h, w, c), out_dtype).transpose(0, 3, 1, 2)
+        else:
+            out = np.empty_like(x, dtype=out_dtype)
+        rows = _block_rows(n, h, w * c)
+        prm = _rprelu_params(*(_tile_w(p, w) for p in params), dt, (w, c))
+        y = np.empty((rows, w, c), dt)
+        factor = np.empty(y.shape, prm[0].dtype)
+        xv, rv, ov = (a.transpose(0, 2, 3, 1) for a in (x, raw, out))
+        for blk in _blocks(n, h, rows):
+            xb = xv[blk]
+            yb = np.multiply(scale, rv[blk], out=_block_of(y, xb))
+            _rprelu_into(yb, yb, _block_of(factor, xb), *prm)
+            np.add(xb, yb, out=ov[blk])
+        return out
+
     def forward(self, x, surrogate=False):
         if x.shape[1] != self.channels:
             raise DimensionError(
                 f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
             )
-        y, conv_cache = self._binconv(self._redistribute(x), surrogate)
-        self._cache = (x, *conv_cache[1:])
-        # numpy adds x in place into rprelu's unreferenced result once that
-        # holds 256 KiB or more (temporary elision), so a large output keeps
-        # y's memory order; an explicit += would reorder small outputs too.
-        return x + rprelu(y, self.beta.value, self.gamma.value, self.zeta.value)
+        if surrogate:
+            cache = self._binconv(self._redistribute(x), True)
+        else:
+            cache = self._binconv(x, False, self._sign_pack_redistributed(x))
+        self._cache = (x, *cache[1:])
+        scale = np.asarray(cache[3], self._redistributed_dtype(x))
+        return self._residual_rprelu(x, scale, cache[4])
 
     def backward(self, grad_out):
         x, *conv_cache = self._pop_cache()

@@ -154,6 +154,27 @@ class TestShotNoise:
         with pytest.raises(DomainError):
             add_shot_noise(np.array([[-0.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        y = np.full((3, 3), 0.5, dtype=np.float32)
+        y[1, 2] = bad
+        with pytest.raises(DomainError):
+            add_shot_noise(y)
+
+    @pytest.mark.parametrize("bit_depth", [0, -1, 63, np.nan])
+    def test_bit_depth_out_of_range_rejected(self, bit_depth):
+        with pytest.raises(ArgumentError):
+            add_shot_noise(np.full((3, 3), 0.5, dtype=np.float32), bit_depth=bit_depth)
+
+    @pytest.mark.parametrize("bit_depth", [1, 62])
+    def test_bit_depth_range_ends_accepted(self, bit_depth):
+        y = np.random.default_rng(3).random((8, 8)).astype(np.float32)
+        noisy = add_shot_noise(y, bit_depth=bit_depth, seed=4)
+        assert noisy.dtype == np.float32 and np.isfinite(noisy).all()
+        if bit_depth == 62:
+            # 2^62 - 1 counts at full scale: noise far below float32 spacing.
+            np.testing.assert_allclose(noisy, y, rtol=1e-6)
+
 
 class TestSynthScene:
     def test_range(self):
