@@ -156,14 +156,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if bool(args.pred) != bool(args.target):
+        raise ArgumentError("eval needs --pred and --target together, or neither")
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    if args.pred and args.target:
+    if args.pred:
         pred = read_hst(args.pred)
         target = read_hst(args.target)
         for i in range(pred.shape[0]):
             rows.append((f"scene{i}", psnr(pred[i], target[i]), ssim(pred[i], target[i])))
     else:
+        if args.synth_scenes < 1:
+            raise ArgumentError(f"--synth-scenes must be at least 1, got {args.synth_scenes}")
         cfg = network_config_from_args(args)
         net = build(cfg, seed=args.seed)
         if args.checkpoint:

@@ -35,32 +35,37 @@ its exact width:
   k*k times the input's size for a stride-1 k x k kernel; it takes its
   gradients from ``conv2d_vjp``, which rebuilds the columns from that
   input;
-- :class:`BiSRConv` caches its input ``x`` plus the raw popcount sums,
+- both 1-bit layers cache their input ``x`` plus the raw popcount sums,
   which are integers with ``|raw| <= k*k*c_in`` and so sit exactly in
-  2-byte int16 (int32 beyond 32767). The redistributed input ``xr`` is
-  recomputed from ``x`` in the backward by ``BiSRConv._redistribute``,
-  whose per-element arithmetic the forward repeats block by block;
+  2-byte int16 (int32 beyond 32767). One method,
+  ``VanillaBinConv._binconv``, writes that cache for both. The
+  redistributed input ``xr`` is recomputed from ``x`` in the backward by
+  ``_redistribute``, whose per-element arithmetic the forward repeats
+  block by block;
 - :class:`ConvBlock` caches the leaky activation, the very array that
   ``conv2`` caches as its input, so the two share it.
 
 Inference needs no separate mode.
 
-:class:`BiSRConv` runs its elementwise forward in row blocks of about
+The 1-bit layers run their elementwise forward in row blocks of about
 2^16 elements, in buffers reused from block to block, so that no
 full-size temporary exists besides the output and the cached sums. One
-pass per block redistributes, signs and packs the input; after the
-kernel, one pass per block computes ``x + rprelu(scale * raw)`` straight
-into the output. Blocks are whole rows of channel-last memory, and the
-per-channel parameters are tiled w times, so each ufunc runs rows w*c
-long, not c. The output is channel-last when it holds at least 256 KiB
-or when x is channel-last, and takes x's memory order otherwise.
+pass per block redistributes (BiSRConv only), signs and packs the input;
+after the kernel, BiSRConv's one pass per block computes
+``x + rprelu(scale * raw)`` straight into the output. Blocks are whole
+rows of channel-last memory, and the per-channel parameters are tiled w
+times, so each ufunc runs rows w*c long, not c. BiSRConv's output is
+channel-last when it holds at least 256 KiB or when x is channel-last,
+and takes x's memory order otherwise.
 
 Three building blocks make up the paper's modules:
 
-- :class:`VanillaBinConv` is the 1-bit convolution: sign, mean-|w| weight
-  scale, the XNOR/popcount kernel, and its backward. :class:`BiSRConv`
-  extends it with redistribution, RPReLU and the residual; the
-  ``Normal*`` baselines are configurations of it.
+- :class:`VanillaBinConv` holds the binarized-conv step of every 1-bit
+  module: redistribution where the layer has a gain and shift, sign,
+  mean-|w| weight scale, the XNOR/popcount kernel, and one
+  straight-through backward. :class:`BiSRConv` adds RPReLU, the residual
+  and the gain/shift gradients; the ``Normal*`` baselines are
+  configurations of VanillaBinConv.
 - :class:`TwoBranch` holds two parallel BiSRConv branches, ``branch_a``
   and ``branch_b``. :class:`BinFusionUp` concatenates them and
   :class:`BinFusionDown` averages them.
@@ -266,69 +271,105 @@ class VanillaBinConv(_Conv):
     zero weights really do annihilate the signal. Used by the
     "normal"-module ablation baseline.
 
-    ``_binconv`` and ``_binconv_backward`` are the binarized convolution
-    and its straight-through backward, which BiSRConv shares.
+    It also holds the binarized-conv step that BiSRConv builds on,
+    :meth:`_binconv`, and its straight-through backward,
+    :meth:`_binconv_backward`. The cache is ``(x, surrogate, w_sign,
+    scale, raw, alpha)``; the backward recomputes x_r from x.
     """
 
     alpha = None  # the tanh sharpness; only BiSRConv learns one
+    gain = shift = None  # the redistribution affine; only BiSRConv has one
 
     def __init__(self, c_in, c_out, k, stride, pad, rng, dtype=np.float32,
                  ste="tanh", name="binconv"):
         super().__init__(c_in, c_out, k, stride, pad, rng, dtype, name)
         self.ste = ste
 
-    def _operands(self, x, w_sign, surrogate, alpha):
-        """The dense conv operands: (sign(x), sign(w)), or their surrogates."""
-        if not surrogate:
-            return sign(x), w_sign
-        w = self.weight.value
-        return ste_value(x, self.ste, alpha).astype(x.dtype), ste_value(w, "clip").astype(w.dtype)
+    def _redistribute(self, x):
+        """The per-channel affine x_r = gain * x + shift, or x itself."""
+        if self.gain is None:
+            return x
+        return self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
 
-    def _binconv(self, x, surrogate, bits=None):
-        """Returns the cache (x, surrogate, w_sign, scale, raw, alpha), where
-        raw = conv(sign(x), sign(w)) unscaled, with both signs replaced by
-        their surrogates when ``surrogate``. On the sign path the raw sums
-        are integers, kept as int16 where they fit; ``bits``, when given,
-        is the packed input the kernel convolves in place of sign_pack(x)."""
+    def _sign_pack(self, x):
+        """bitpack.sign_pack(self._redistribute(x)), one block at a time,
+        so that no full-size x_r or bit array exists. Each block computes
+        gain * x + shift as :meth:`_redistribute` does, over channel-last
+        rows against the parameters tiled w times."""
+        n, c, h, w = x.shape
+        rows = _block_rows(n, h, w * c)
+        xv = x.transpose(0, 2, 3, 1)
+        words = np.empty((n, h, w, bitpack.words_per_row(c)), np.uint64)
+        bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
+        if self.gain is not None:
+            gain, shift = (_tile_w(p.value, w) for p in (self.gain, self.shift))
+            xr = np.empty((rows, w, c), np.result_type(gain, x, shift))
+        for blk in _blocks(n, h, rows):
+            xb = xv[blk]
+            if self.gain is not None:
+                xb = np.multiply(gain, xb, out=_block_of(xr, xb))
+                xb += shift
+            words[blk] = bitpack.sign_words(xb, _block_of(bits, xb))
+        return bitpack.BitTensor(shape=x.shape, words=words)
+
+    def _operands(self, xr, w_sign, surrogate, alpha):
+        """The dense conv operands: (sign(x_r), sign(w)), or their surrogates."""
+        if not surrogate:
+            return sign(xr), w_sign
+        w = self.weight.value
+        return ste_value(xr, self.ste, alpha).astype(xr.dtype), ste_value(w, "clip").astype(w.dtype)
+
+    def _binconv(self, x, surrogate):
+        """Convolves the layer input ``x``, writes the cache and returns
+        (scale, raw): scale = mean|w| and raw = conv(sign(x_r), sign(w))
+        unscaled, with both signs replaced by their surrogates when
+        ``surrogate``. On the sign path the raw sums are integers, kept as
+        int16 where they fit, and sign(x_r) goes straight into bits."""
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         scale, w_sign = binarize_weights(self.weight.value)
         if surrogate:
-            xb, wq = self._operands(x, w_sign, True, alpha)
+            xb, wq = self._operands(self._redistribute(x), w_sign, True, alpha)
             raw = conv2d_forward(xb, wq, stride=self.stride, pad=self.pad, pad_value=-1.0)
         else:
-            # sign(x) goes straight into bits; the backward recomputes it.
             # int16 -> float is exact, so scale * raw and grad * raw keep
             # the bytes a float raw would give.
             n_bits = self.k * self.k * self.c_in
             raw = bitpack.bit_conv2d(
-                bitpack.sign_pack(x) if bits is None else bits, bitpack.pack(w_sign),
-                scale=1.0, stride=self.stride, pad=self.pad,
-                out_dtype=np.int16 if n_bits <= np.iinfo(np.int16).max else np.int32,
+                self._sign_pack(x), bitpack.pack(w_sign), scale=1.0, stride=self.stride,
+                pad=self.pad, out_dtype=np.int16 if n_bits <= np.iinfo(np.int16).max else np.int32,
             )
-        return x, surrogate, w_sign, scale, raw, alpha
+        self._cache = (x, surrogate, w_sign, scale, raw, alpha)
+        return scale, raw
 
     def _binconv_backward(self, cache, grad):
-        """Accumulates weight.grad; returns the gradient wrt the signed
-        input. The weight path always backpropagates through the clip
-        surrogate plus the derivative of the mean-|w| scale."""
+        """Takes the gradient wrt scale * raw; accumulates weight.grad, and
+        alpha.grad where the layer learns one, and returns the gradient wrt
+        x_r. The weight path always backpropagates through the clip
+        surrogate plus the derivative of the mean-|w| scale, so alpha's
+        gradient is exactly sum(g * x_r * (1 - tanh(alpha x_r)^2))."""
         x, surrogate, w_sign, scale, raw, alpha = cache
-        xb, wq = self._operands(x, w_sign, surrogate, alpha)
+        xr = self._redistribute(x)
+        xb, wq = self._operands(xr, w_sign, surrogate, alpha)
         gscale = float((grad * raw).sum())
         graw = grad * np.asarray(scale, grad.dtype)
         gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
         w = self.weight.value
         self.weight.grad += gwq * ste_grad(w, "clip") + (gscale / w.size) * w_sign
-        return gxb
+        if self.alpha is None:
+            return gxb * ste_grad(xr, self.ste, alpha)
+        # ste_grad's tanh derivative alpha * d and alpha's gradient share
+        # d = 1 - tanh(alpha x_r)^2.
+        t = np.tanh(alpha * xr)
+        d = 1.0 - t * t
+        self.alpha.grad += (gxb * xr * d).sum()
+        return gxb * (alpha * d)
 
     def forward(self, x, surrogate=False):
-        self._cache = self._binconv(x, surrogate)
-        scale, raw = self._cache[3:5]
+        scale, raw = self._binconv(x, surrogate)
         return np.asarray(scale, x.dtype) * raw
 
     def backward(self, grad_out):
-        cache = self._pop_cache()
-        x, *_, alpha = cache
-        return self._binconv_backward(cache, grad_out) * ste_grad(x, self.ste, alpha)
+        return self._binconv_backward(self._pop_cache(), grad_out)
 
 
 class BiSRConv(VanillaBinConv):
@@ -337,23 +378,15 @@ class BiSRConv(VanillaBinConv):
 
     Pipeline: per-channel affine (gain, shift) -> sign -> 1-bit 3x3
     convolution scaled by mean|w| -> RPReLU -> add the untouched input.
-    The 1-bit convolution runs on the XNOR/popcount kernel; padding is -1.
-    The forward fuses the steps before the kernel into one blocked pass
-    (:meth:`_sign_pack_redistributed`) and the steps after it into
-    another (:meth:`_residual_rprelu`, which also states the output's
-    memory order); the surrogate path shares the second.
+    The steps up to the convolution are VanillaBinConv's. This class adds
+    RPReLU and the residual, fused into one blocked pass
+    (:meth:`_residual_rprelu`, which also states the output's memory
+    order), and the gain/shift gradients. The forward and the backward
+    form the RPReLU pre-activation y = scale * raw in one dtype
+    (:meth:`_preact_scale`).
 
     ``ste`` picks the backward surrogate for both activations and, when
-    "tanh", adds a learnable sharpness alpha. The weight path always
-    backpropagates through the clip surrogate so that alpha's gradient is
-    exactly sum(g * x_r * (1 - tanh(alpha x_r)^2)).
-
-    The cache is ``(x, surrogate, w_sign, scale, raw, alpha)``: the input
-    plus the raw conv sums, which are int16 on the sign path. The
-    redistributed input x_r is not kept; the backward recomputes it with
-    :meth:`_redistribute`, which the surrogate forward calls and the sign
-    forward repeats element for element, and the RPReLU pre-activation as
-    scale * raw.
+    "tanh", adds a learnable sharpness alpha.
     """
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
@@ -376,45 +409,17 @@ class BiSRConv(VanillaBinConv):
         ps = [self.weight, self.gain, self.shift, self.alpha, self.beta, self.gamma, self.zeta]
         return [p for p in ps if p is not None]
 
-    def _redistribute(self, x):
-        """The per-channel affine x_r = gain * x + shift, or x itself."""
-        if not self.redistribute:
-            return x
-        return self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
-
-    def _redistributed_dtype(self, x):
-        """The dtype of ``self._redistribute(x)``."""
-        if not self.redistribute:
-            return x.dtype
-        return np.result_type(self.gain.value, x, self.shift.value)
-
-    def _sign_pack_redistributed(self, x):
-        """bitpack.sign_pack(self._redistribute(x)), one block at a time,
-        so that no full-size x_r or bit array exists. Each block computes
-        gain * x + shift as :meth:`_redistribute` does, over channel-last
-        rows against the parameters tiled w times."""
-        n, c, h, w = x.shape
-        rows = _block_rows(n, h, w * c)
-        xv = x.transpose(0, 2, 3, 1)
-        words = np.empty((n, h, w, bitpack.words_per_row(c)), np.uint64)
-        bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
-        if self.redistribute:
-            gain, shift = (_tile_w(p.value, w) for p in (self.gain, self.shift))
-            xr = np.empty((rows, w, c), self._redistributed_dtype(x))
-        for blk in _blocks(n, h, rows):
-            xb = xv[blk]
-            if self.redistribute:
-                xb = np.multiply(gain, xb, out=_block_of(xr, xb))
-                xb += shift
-            words[blk] = bitpack.sign_words(xb, _block_of(bits, xb))
-        return bitpack.BitTensor(shape=x.shape, words=words)
+    def _preact_scale(self, x, scale):
+        """``scale`` as a 0-d array in the dtype of y = scale * raw: x's,
+        promoted with the layer's parameters', which all share beta's."""
+        return np.asarray(scale, np.result_type(x, self.beta.value))
 
     def _residual_rprelu(self, x, scale, raw):
         """x + rprelu(scale * raw), one block at a time, straight into the
         output.
 
-        ``scale`` is a 0-d array in x_r's dtype. ``raw`` is an (n, c, h, w)
-        view of channel-last memory, as both convolutions return it. Each
+        ``scale`` comes from :meth:`_preact_scale`. ``raw`` is an (n, c, h,
+        w) view of channel-last memory, as both convolutions return it. Each
         block runs scale * raw, the RPReLU passes and the residual add over
         channel-last rows w*c long, with the per-channel parameters tiled w
         times, in buffers reused from block to block. Every element sees
@@ -452,23 +457,18 @@ class BiSRConv(VanillaBinConv):
             raise DimensionError(
                 f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
             )
-        if surrogate:
-            cache = self._binconv(self._redistribute(x), True)
-        else:
-            cache = self._binconv(x, False, self._sign_pack_redistributed(x))
-        self._cache = (x, *cache[1:])
-        scale = np.asarray(cache[3], self._redistributed_dtype(x))
-        return self._residual_rprelu(x, scale, cache[4])
+        scale, raw = self._binconv(x, surrogate)
+        return self._residual_rprelu(x, self._preact_scale(x, scale), raw)
 
     def backward(self, grad_out):
-        x, *conv_cache = self._pop_cache()
-        _, _, scale, raw, alpha = conv_cache
+        cache = self._pop_cache()
+        x, _, _, scale, raw, _ = cache
         if grad_out.shape != x.shape:
             raise DimensionError(
                 f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
             )
         # RPReLU backward, its mask recomputed from the pre-activation y.
-        y = np.asarray(scale, x.dtype) * raw
+        y = self._preact_scale(x, scale) * raw
         g = self.gamma.value[None, :, None, None]
         mask = y > g
         gy = grad_out * np.where(
@@ -478,18 +478,8 @@ class BiSRConv(VanillaBinConv):
         self.gamma.grad += (-gy).sum(axis=(0, 2, 3))
         self.zeta.grad += grad_out.sum(axis=(0, 2, 3))
 
-        xr = self._redistribute(x)
-        gxb = self._binconv_backward((xr, *conv_cache), gy)
-        if self.alpha is not None:
-            # ste_grad's tanh derivative alpha * d and alpha's gradient
-            # share d = 1 - tanh(alpha x_r)^2.
-            t = np.tanh(alpha * xr)
-            d = 1.0 - t * t
-            gxr = gxb * (alpha * d)
-            self.alpha.grad += (gxb * xr * d).sum()
-        else:
-            gxr = gxb * ste_grad(xr, self.ste, alpha)
-        if not self.redistribute:
+        gxr = self._binconv_backward(cache, gy)
+        if self.gain is None:
             return gxr + grad_out
         self.gain.grad += (gxr * x).sum(axis=(0, 2, 3))
         self.shift.grad += gxr.sum(axis=(0, 2, 3))

@@ -49,6 +49,16 @@ OPS_DIVISOR = 64
 PART_NAMES = ("embedding", "encoder", "bottleneck", "decoder", "mapping")
 
 
+def _check_spatial(h, w):
+    """The input size rule of both the forward and the accounting: h and w
+    are positive multiples of 4, so that both downsamples halve them
+    exactly. Raises DimensionError otherwise."""
+    if h <= 0 or w <= 0:
+        raise DimensionError(f"spatial dims must be positive, got {h}x{w}")
+    if h % 4 or w % 4:
+        raise DimensionError("spatial dims must be divisible by 4 (two downsamples)")
+
+
 @dataclass
 class NetworkConfig:
     """Build-time switches.
@@ -265,8 +275,7 @@ class Network:
             raise DimensionError(
                 f"expected (n, {NL}, h, w) inputs, got {h_shifted.shape}"
             )
-        if h_shifted.shape[2] % 4 or h_shifted.shape[3] % 4:
-            raise DimensionError("spatial dims must be divisible by 4 (two downsamples)")
+        _check_spatial(*h_shifted.shape[2:])
 
         xs = self.embedding.forward(concat_channels(h_shifted, m_shifted), surrogate=surrogate)
         xd = self._level_forward(self._levels, xs, surrogate)
@@ -300,6 +309,7 @@ class Network:
 
     def count(self, input_h=256, input_w=256):
         """Per-part parameter and conv-MAC accounting at a given input size."""
+        _check_spatial(input_h, input_w)
         flags = {"embedding": False, "mapping": False, **self.cfg.binarize_flags}
         acc = Accounting()
         h, w = input_h, input_w

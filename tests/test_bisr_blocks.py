@@ -1,9 +1,10 @@
-"""BiSRConv's blocked forward against the unfused expression.
+"""The 1-bit layers' blocked forward against the unfused expression.
 
-The forward redistributes, signs and packs its input, and computes
+BiSRConv's forward redistributes, signs and packs its input, and computes
 ``x + rprelu(scale * raw)``, one row block (``layers._BLOCK_ELEMS``
-elements) at a time. These tests pin its bytes, dtype and strides against
-the plain numpy expression, bound its transient memory, and check that a
+elements) at a time; VanillaBinConv signs and packs its input through the
+same blocked packer. These tests pin the bytes, dtype and strides against
+the plain numpy expression, bound the transient memory, and check that a
 NaN still raises from the blocked sign.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from bisrnet import layers
 from bisrnet.binarize import sign, ste_value
 from bisrnet.errors import ArgumentError
-from bisrnet.layers import BiSRConv
+from bisrnet.layers import BiSRConv, VanillaBinConv
 from bisrnet.tensor import conv2d_ref
 
 
@@ -99,6 +100,23 @@ def test_partial_last_block(monkeypatch, block_elems, last_block, channels_last,
     assert_same(layer.forward(x, surrogate=surrogate), unfused(layer, x, surrogate))
 
 
+# (k, stride, pad) of the VanillaBinConvs the normal-module baselines build.
+VANILLA_GEOMETRIES = pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 1, 1), (4, 2, 1)])
+
+
+@pytest.mark.parametrize("block_elems", [3 * 36, 2 * 7 * 36])
+@pytest.mark.parametrize("channels_last", [False, True])
+@VANILLA_GEOMETRIES
+def test_vanilla_partial_last_block(monkeypatch, block_elems, channels_last, k, stride, pad):
+    monkeypatch.setattr(layers, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(43)
+    layer = VanillaBinConv(4, 6, k, stride, pad, rng)
+    x = make_x((3, 4, 7, 9), channels_last, np.float32, seed=44)
+    layer.forward(x)
+    want = conv2d_ref(sign(x), sign(layer.weight.value), stride=stride, pad=pad, pad_value=-1.0)
+    np.testing.assert_array_equal(layer._cache[4], want)
+
+
 @pytest.mark.parametrize("channels_last", [False, True])
 def test_transient_memory_stays_below_one_input(channels_last):
     # The unblocked forward held x_r, its sign bits, scale * raw, the
@@ -128,6 +146,16 @@ def test_nan_in_last_block_raises(channels_last):
         layer.forward(x)
 
 
+@pytest.mark.parametrize("channels_last", [False, True])
+@VANILLA_GEOMETRIES
+def test_vanilla_nan_in_last_block_raises(channels_last, k, stride, pad):
+    layer = VanillaBinConv(28, 8, k, stride, pad, np.random.default_rng(63))
+    x = make_x((1, 28, 64, 64), channels_last, np.float32, seed=64)
+    x[0, 27, 63, 63] = np.nan
+    with pytest.raises(ArgumentError):
+        layer.forward(x)
+
+
 def test_nan_from_redistribution_raises():
     # gain 0 times an infinite input: x is NaN-free but x_r is not.
     layer = perturbed_layer(8, np.float32, seed=71)
@@ -136,3 +164,19 @@ def test_nan_from_redistribution_raises():
     x[1, 3, 15, 15] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ArgumentError):
         layer.forward(x)
+
+
+def test_input_dtype_leaves_outputs_and_gradients_unchanged():
+    # A float64 layer computes x_r = gain * x + shift in float64 for a
+    # float32 x, so the same values fed as float32 or as float64 must give
+    # the same bytes, including y = scale * raw in the backward.
+    shape = (2, 8, 32, 32)
+    x32 = make_x(shape, False, np.float32, seed=81)
+    grad = np.random.default_rng(83).standard_normal(shape)
+    runs = []
+    for x in (x32, x32.astype(np.float64)):
+        layer = perturbed_layer(8, np.float64, seed=82)
+        out = layer.forward(x)
+        runs.append([out, layer.backward(grad)] + [p.grad for p in layer.params()])
+    for got, want in zip(*runs):
+        assert_same(got, want)

@@ -84,6 +84,13 @@ class TestCount:
         body = {r[0]: [int(v) for v in r[1:]] for r in rows[1:]}
         assert body["total"][1] == sum(body[n][1] for n in names[:-1])
 
+    def test_size_the_network_rejects_fails(self, capsys):
+        # 10x10 would count the mapping at 8x8 after two floor halvings.
+        assert run_cli("count", "--height", "10", "--width", "10") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "divisible by 4" in captured.err
+
     def test_full_scale_totals_near_published(self, capsys):
         assert run_cli("count") == 0
         rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()]
@@ -169,6 +176,22 @@ class TestTrainEval:
         assert rc == 0
         rows = read_csv(out / "metrics.csv")
         assert [r[0] for r in rows[1:]] == ["scene0", "scene1", "average"]
+
+    @pytest.mark.parametrize("given", ["--pred", "--target"])
+    def test_eval_half_given_pair_fails(self, tmp_path, capsys, given):
+        path = tmp_path / "cube.hst"
+        write_hst(path, np.zeros((1, 4, 8, 8), np.float32))
+        out = tmp_path / "eval"
+        assert run_cli("eval", given, str(path), "--out", str(out)) == 1
+        assert "--pred and --target" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_without_scenes_fails(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--channels", "8", "--wavelengths", "8", "--synth-scenes", "0",
+                       "--height", "24", "--width", "24", "--out", str(out)) == 1
+        assert "--synth-scenes" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestConfigFile:

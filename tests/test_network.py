@@ -98,6 +98,16 @@ class TestBuildAndForward:
         with pytest.raises(DimensionError):
             net.forward(np.zeros((1, 4, 18, 18), np.float32), np.zeros((1, 4, 18, 18), np.float32))
 
+    @pytest.mark.parametrize("h,w", [(10, 10), (16, 18), (0, 16)])
+    def test_count_rejects_the_sizes_forward_rejects(self, h, w):
+        net = build(tiny_cfg(), seed=0)
+        x = np.zeros((1, 4, h, w), np.float32)
+        with pytest.raises(DimensionError) as from_forward:
+            net.forward(x, x)
+        with pytest.raises(DimensionError) as from_count:
+            net.count(h, w)
+        assert str(from_count.value) == str(from_forward.value)
+
     def test_zero_weight_network_is_linear(self):
         # Dead conv weights leave only identity paths, pooling, interpolation
         # and the (linear) 1x1 stages: the whole map must then be linear.

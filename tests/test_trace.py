@@ -12,6 +12,8 @@ reconstruction workloads forbid; these tests fail first.
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 
@@ -34,8 +36,9 @@ def test_train32_bin_trace_records_required_spans():
     assert run.check_spans("train32_bin", trace.summary()[0]) == []
 
 
-def test_recon256_base_trace_records_no_backward_span(tmp_path):
-    workload = bench.WORKLOADS["recon256_base"]
+@pytest.mark.parametrize("name", ["recon256_base", "recon256_bin"])
+def test_recon_trace_records_required_spans(tmp_path, name):
+    workload = bench.WORKLOADS[name]
     refs = bench.load_reference()
     state = workload.state_for([0], str(tmp_path), refs)
     trace = tracer.Tracer()
@@ -45,4 +48,4 @@ def test_recon256_base_trace_records_no_backward_span(tmp_path):
     finally:
         trace.uninstall()
     assert [r.error for r in results] == [""]
-    assert run.check_spans("recon256_base", trace.summary()[0]) == []
+    assert run.check_spans(name, trace.summary()[0]) == []
