@@ -10,7 +10,7 @@ channel sits in the same bit positions as the channel vector of one input
 pixel.
 
 Tail bits: bits past c in the last word are don't-care. :func:`pack` and
-:func:`sign_pack` leave them 0, but a BitTensor built by hand may set
+:func:`sign_words` leave them 0, but a BitTensor built by hand may set
 them; :func:`bit_conv2d` masks them out of both operands once per call.
 
 Packing goes through :func:`sign_words`: each pixel's channel signs are
@@ -122,15 +122,6 @@ def pack(x):
         raise DimensionError(f"pack() expects (n, c, h, w), got shape {x.shape}")
     if not np.all((x == 1) | (x == -1)):
         raise DomainError("pack() requires every element to be exactly +1 or -1")
-    return BitTensor(shape=x.shape, words=_pack_channels(x))
-
-
-def sign_pack(x):
-    """``pack(sign(x))`` straight from a real tensor: bit 1 where x > 0, bit
-    0 where x <= 0 (including -0.0). NaN raises ArgumentError, as in sign."""
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise DimensionError(f"sign_pack() expects (n, c, h, w), got shape {x.shape}")
     return BitTensor(shape=x.shape, words=_pack_channels(x))
 
 

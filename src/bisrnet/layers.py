@@ -23,10 +23,21 @@ Every layer derives from :class:`Layer`. A composite lists its sub-layers
 in ``layers``, in parameter order, and the base derives ``params``,
 ``param_count`` and ``count_macs`` from them, running them in sequence so
 that each one's output size is the next one's input size. A leaf
-overrides ``params`` and ``count_macs``. A layer that keeps a cache sets
-``_cache`` in forward and takes it back with ``_pop_cache()`` in
-backward, which raises StateError when no forward came first; a composite
-without a cache of its own gets the same check from its sub-layers.
+overrides ``params`` and ``count_macs``. A layer that keeps a cache hands
+it to ``_save_cache()`` in forward and takes it back with ``_pop_cache()``
+in backward, which raises StateError when no forward came first; a
+composite without a cache of its own gets the same check from its
+sub-layers.
+
+``Layer._save_cache`` is the only code that assigns ``_cache``
+(``tests/test_inference.py`` checks this in the source), and one switch
+decides what it stores. By default it keeps the cache. Inside ``with
+inference():`` it stores None, so an evaluation forward holds nothing
+for a backward that will not come: the caches of a 256x256 forward are
+most of its peak memory. The outputs are the same bytes either way. A
+stale training cache is cleared too, so a backward after a cache-free
+forward raises StateError. ``train.evaluate`` runs its forwards inside
+the switch; training and the gradient checks run outside it.
 
 A cache holds only what the backward cannot cheaply recompute, each at
 its exact width:
@@ -37,15 +48,13 @@ its exact width:
   input;
 - both 1-bit layers cache their input ``x`` plus the raw popcount sums,
   which are integers with ``|raw| <= k*k*c_in`` and so sit exactly in
-  2-byte int16 (int32 beyond 32767). One method,
-  ``VanillaBinConv._binconv``, writes that cache for both. The
-  redistributed input ``xr`` is recomputed from ``x`` in the backward by
-  ``_redistribute``, whose per-element arithmetic the forward repeats
-  block by block;
+  2-byte int16 (int32 beyond 32767, promoting as int16 does so that a
+  float32 layer stays float32). One method, ``VanillaBinConv._binconv``,
+  builds that cache for both. The redistributed input ``xr`` is
+  recomputed from ``x`` in the backward by ``_redistribute``, whose
+  per-element arithmetic the forward repeats block by block;
 - :class:`ConvBlock` caches the leaky activation, the very array that
   ``conv2`` caches as its input, so the two share it.
-
-Inference needs no separate mode.
 
 The 1-bit layers run their elementwise forward in row blocks of about
 2^16 elements, in buffers reused from block to block, so that no
@@ -81,6 +90,9 @@ itself, so a class that only inherited them would vanish from its
 per-layer times.
 """
 
+import contextlib
+import contextvars
+
 import numpy as np
 
 from . import bitpack
@@ -99,6 +111,25 @@ from .tensor import (
 
 LEAKY_SLOPE = 0.2
 ALPHA_FLOOR = 1e-3
+# Whether a forward keeps its backward cache; :func:`inference` clears it.
+_keep_caches = contextvars.ContextVar("keep_caches", default=True)
+
+
+@contextlib.contextmanager
+def inference():
+    """Run the forwards inside without backward caches.
+
+    Every layer's cache write stores None instead, so a forward holds
+    nothing for a backward that will not come, and a backward afterwards
+    raises StateError. The previous setting comes back on exit, also on an
+    exception, so the context nests. The setting belongs to the calling
+    thread's context: other threads keep their caches.
+    """
+    token = _keep_caches.set(False)
+    try:
+        yield
+    finally:
+        _keep_caches.reset(token)
 
 
 class Param:
@@ -179,6 +210,22 @@ def rprelu(y, beta, gamma, zeta):
 _BLOCK_ELEMS = 1 << 16
 # A BiSRConv output of at least this many bytes is channel-last.
 _CHANNEL_LAST_BYTES = 1 << 18
+# The widest fan-in k*k*c_in whose raw sums are kept as int16; wider ones
+# are int32.
+_INT16_FAN_IN = np.iinfo(np.int16).max
+
+
+def _sums_dtype(raw):
+    """The dtype that raw sums promote as. Integer sums promote as int16
+    at any width, so that a float32 layer stays float32 where a fan-in
+    beyond _INT16_FAN_IN keeps them as int32 (float32 holds them exactly
+    below 2^24). Surrogate sums are float and promote as themselves."""
+    return np.dtype(np.int16) if raw.dtype.kind == "i" else raw.dtype
+
+
+def _times_sums(a, raw):
+    """a * raw in the dtype of ``a`` and :func:`_sums_dtype`."""
+    return np.multiply(a, raw, dtype=np.result_type(a, _sums_dtype(raw)))
 
 
 def _block_rows(n, h, row_elems):
@@ -238,10 +285,16 @@ class Layer:
             total += m
         return total, h, w
 
+    def _save_cache(self, cache):
+        """The one writer of ``_cache``: keeps ``cache`` for the backward,
+        or None inside :func:`inference`."""
+        self._cache = cache if _keep_caches.get() else None
+
     def _pop_cache(self):
-        if self._cache is None:
+        cache = self._cache
+        if cache is None:
             raise StateError(f"{self.name}: backward() before forward()")
-        cache, self._cache = self._cache, None
+        self._save_cache(None)
         return cache
 
 
@@ -292,7 +345,7 @@ class VanillaBinConv(_Conv):
         return self.gain.value[None, :, None, None] * x + self.shift.value[None, :, None, None]
 
     def _sign_pack(self, x):
-        """bitpack.sign_pack(self._redistribute(x)), one block at a time,
+        """bitpack.pack(sign(self._redistribute(x))), one block at a time,
         so that no full-size x_r or bit array exists. Each block computes
         gain * x + shift as :meth:`_redistribute` does, over channel-last
         rows against the parameters tiled w times."""
@@ -336,9 +389,9 @@ class VanillaBinConv(_Conv):
             n_bits = self.k * self.k * self.c_in
             raw = bitpack.bit_conv2d(
                 self._sign_pack(x), bitpack.pack(w_sign), scale=1.0, stride=self.stride,
-                pad=self.pad, out_dtype=np.int16 if n_bits <= np.iinfo(np.int16).max else np.int32,
+                pad=self.pad, out_dtype=np.int16 if n_bits <= _INT16_FAN_IN else np.int32,
             )
-        self._cache = (x, surrogate, w_sign, scale, raw, alpha)
+        self._save_cache((x, surrogate, w_sign, scale, raw, alpha))
         return scale, raw
 
     def _binconv_backward(self, cache, grad):
@@ -350,7 +403,7 @@ class VanillaBinConv(_Conv):
         x, surrogate, w_sign, scale, raw, alpha = cache
         xr = self._redistribute(x)
         xb, wq = self._operands(xr, w_sign, surrogate, alpha)
-        gscale = float((grad * raw).sum())
+        gscale = float(_times_sums(grad, raw).sum())
         graw = grad * np.asarray(scale, grad.dtype)
         gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
         w = self.weight.value
@@ -366,7 +419,7 @@ class VanillaBinConv(_Conv):
 
     def forward(self, x, surrogate=False):
         scale, raw = self._binconv(x, surrogate)
-        return np.asarray(scale, x.dtype) * raw
+        return _times_sums(np.asarray(scale, x.dtype), raw)
 
     def backward(self, grad_out):
         return self._binconv_backward(self._pop_cache(), grad_out)
@@ -423,7 +476,8 @@ class BiSRConv(VanillaBinConv):
         block runs scale * raw, the RPReLU passes and the residual add over
         channel-last rows w*c long, with the per-channel parameters tiled w
         times, in buffers reused from block to block. Every element sees
-        the arithmetic of the unfused expression, in the same dtypes.
+        the arithmetic of the unfused expression, in the same dtypes, with
+        integer sums promoting as :func:`_sums_dtype` says.
 
         The output is channel-last, like ``raw``, when it holds at least
         256 KiB or when ``x`` is channel-last; otherwise it takes ``x``'s
@@ -434,7 +488,7 @@ class BiSRConv(VanillaBinConv):
         """
         n, c, h, w = x.shape
         params = (self.beta.value, self.gamma.value, self.zeta.value)
-        dt = np.result_type(scale, raw, *params)
+        dt = np.result_type(scale, _sums_dtype(raw), *params)
         out_dtype = np.result_type(x, dt)
         if x.size * out_dtype.itemsize >= _CHANNEL_LAST_BYTES:
             out = np.empty((n, h, w, c), out_dtype).transpose(0, 3, 1, 2)
@@ -468,7 +522,7 @@ class BiSRConv(VanillaBinConv):
                 f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
             )
         # RPReLU backward, its mask recomputed from the pre-activation y.
-        y = self._preact_scale(x, scale) * raw
+        y = _times_sums(self._preact_scale(x, scale), raw)
         g = self.gamma.value[None, :, None, None]
         mask = y > g
         gy = grad_out * np.where(
@@ -499,7 +553,7 @@ class Conv2dFP(_Conv):
 
     def forward(self, x, surrogate=False):
         y = conv2d_forward(x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0)
-        self._cache = x
+        self._save_cache(x)
         return y
 
     def backward(self, grad_out):
@@ -525,7 +579,8 @@ class ConvBlock(Layer):
         slope = np.asarray(LEAKY_SLOPE, x.dtype)
         # conv2 caches a as its input; this cache is the same array. With a
         # positive slope, a > 0 exactly where y1 > 0, NaN and -0 included.
-        self._cache = a = np.where(y1 > 0, y1, slope * y1)
+        a = np.where(y1 > 0, y1, slope * y1)
+        self._save_cache(a)
         return x + self.conv2.forward(a)
 
     def backward(self, grad_out):
@@ -563,7 +618,7 @@ class Pool2(Layer):
         return 0, h // 2, w // 2
 
     def forward(self, x, surrogate=False):
-        self._cache = x.shape
+        self._save_cache(x.shape)
         return avg_pool2x2(x)
 
     def backward(self, grad_out):
@@ -580,7 +635,7 @@ class Up2(Layer):
         return 0, 2 * h, 2 * w
 
     def forward(self, x, surrogate=False):
-        self._cache = x.shape
+        self._save_cache(x.shape)
         return bilinear_up2(x)
 
     def backward(self, grad_out):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cassi
+from . import cassi, layers
 from .errors import ArgumentError, DimensionError, DomainError
 
 LOSS_FLOOR = 1e-12
@@ -234,14 +234,16 @@ def train(net, cfg, batch_fn, log_every=0):
 def evaluate(net, scenes, sys):
     """Reconstruct each scene from its clean simulated snapshot.
 
-    Returns ([(name, psnr_db, ssim), ...], (avg_psnr, avg_ssim)).
+    Returns ([(name, psnr_db, ssim), ...], (avg_psnr, avg_ssim)). The
+    forwards run under :func:`layers.inference`, keeping no backward caches.
     """
     m_in = cassi.shift_mask(sys)[None]
     rows = []
     for i, cube in enumerate(scenes):
         y = cassi.forward_capture(cube, sys)
         h_in = cassi.shift_back(y, sys)[None]
-        pred = net.forward(h_in.astype(net.dtype), m_in.astype(net.dtype))[0]
+        with layers.inference():
+            pred = net.forward(h_in.astype(net.dtype), m_in.astype(net.dtype))[0]
         rows.append((f"scene{i}", psnr(pred, cube), ssim(pred, cube)))
     avg = (
         float(np.mean([r[1] for r in rows])),

@@ -5,7 +5,8 @@ BiSRConv's forward redistributes, signs and packs its input, and computes
 elements) at a time; VanillaBinConv signs and packs its input through the
 same blocked packer. These tests pin the bytes, dtype and strides against
 the plain numpy expression, bound the transient memory, and check that a
-NaN still raises from the blocked sign.
+NaN still raises from the blocked sign and that int32 raw sums (fan-in
+beyond 32767) keep the int16 path's dtypes and bytes.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 
 from bisrnet import layers
 from bisrnet.binarize import sign, ste_value
+from bisrnet.bitpack import pack
 from bisrnet.errors import ArgumentError
 from bisrnet.layers import BiSRConv, VanillaBinConv
 from bisrnet.tensor import conv2d_ref
@@ -180,3 +182,52 @@ def test_input_dtype_leaves_outputs_and_gradients_unchanged():
         runs.append([out, layer.backward(grad)] + [p.grad for p in layer.params()])
     for got, want in zip(*runs):
         assert_same(got, want)
+
+
+def test_wide_fan_in_keeps_the_float_dtype():
+    # A fan-in of 3641 * 9 = 32769 keeps the raw sums as int32; scale * raw
+    # stays float32, as on the int16 path.
+    rng = np.random.default_rng(91)
+    layer = VanillaBinConv(3641, 2, 3, 1, 1, rng)
+    x = rng.standard_normal((1, 3641, 2, 2)).astype(np.float32)
+    out = layer.forward(x)
+    raw = layer._cache[4]
+    assert raw.dtype == np.int32 and np.abs(raw).max() > 0
+    assert out.dtype == np.float32
+    scale = np.float32(np.mean(np.abs(layer.weight.value)))
+    np.testing.assert_array_equal(out, scale * raw.astype(np.float32))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: perturbed_layer(8, np.float32, seed=92),
+    lambda rng: VanillaBinConv(8, 6, 3, 1, 1, rng),
+], ids=["BiSRConv", "VanillaBinConv"])
+def test_int32_sums_give_the_int16_bytes(monkeypatch, make):
+    # Forcing int32 sums on a narrow layer: output, input gradient and
+    # parameter gradients keep the int16 path's dtypes and bytes.
+    x = make_x((2, 8, 16, 16), False, np.float32, seed=93)
+    runs = []
+    for fan_in in (layers._INT16_FAN_IN, 0):
+        monkeypatch.setattr(layers, "_INT16_FAN_IN", fan_in)
+        layer = make(np.random.default_rng(94))
+        out = layer.forward(x)
+        runs.append((layer._cache[4].dtype, [out, layer.backward(np.ones_like(out))]
+                     + [p.grad for p in layer.params()]))
+    (dt16, want), (dt32, got) = runs
+    assert (dt16, dt32) == (np.int16, np.int32)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
+@pytest.mark.parametrize("c", [1, 28, 64, 65])
+def test_vanilla_sign_pack_sends_signed_zeros_to_bit_zero(c):
+    # sign(0.0) = sign(-0.0) = -1, whose bit is 0.
+    layer = VanillaBinConv(c, 2, 1, 1, 0, np.random.default_rng(95))
+    x = make_x((2, c, 3, 4), False, np.float32, seed=96)
+    x[0, 0, 0, :2] = [0.0, -0.0]
+    x[1, -1, 2, 2:] = [-0.0, 0.0]
+    bt = layer._sign_pack(x)
+    assert bt.shape == x.shape
+    np.testing.assert_array_equal(bt.words, pack(sign(x)).words)
+    zeros = np.array([0.0, -0.0], np.float32).reshape(1, 2, 1, 1)
+    assert not VanillaBinConv(2, 1, 1, 1, 0, np.random.default_rng(97))._sign_pack(zeros).words.any()

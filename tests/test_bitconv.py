@@ -11,7 +11,6 @@ from bisrnet.bitpack import (
     BitTensor,
     bit_conv2d,
     pack,
-    sign_pack,
     unpack,
     words_per_row,
     xnor_popcount_dot,
@@ -217,23 +216,6 @@ class TestChannelPackedKernel:
             assert (noisy_x.words != x.words).any()
             np.testing.assert_array_equal(bit_conv2d(noisy_x, noisy_w), want)
 
-    def test_sign_pack_equals_pack_of_sign(self):
-        rng = np.random.default_rng(13)
-        for c in (1, 28, 64, 65):
-            x = rng.standard_normal((2, c, 3, 4)).astype(np.float32)
-            x[0, 0, 0, :2] = [0.0, -0.0]
-            x[1, -1, 2, 2:] = [-0.0, 0.0]
-            bt = sign_pack(x)
-            assert bt.shape == x.shape
-            np.testing.assert_array_equal(bt.words, pack(sign(x)).words)
-        assert not sign_pack(np.array([0.0, -0.0]).reshape(1, 2, 1, 1)).words.any()
-
-    def test_sign_pack_rejects_nan(self):
-        x = np.ones((1, 3, 2, 2), dtype=np.float32)
-        x[0, 1, 1, 0] = np.nan
-        with pytest.raises(ArgumentError):
-            sign_pack(x)
-
     def test_weight_layout(self):
         # Channel i of tap (dy, dx) of output o is bit i % 64 of word
         # i // 64 of words[o, dy, dx].
@@ -359,8 +341,8 @@ class TestPlaneBlocks:
         # 1.3 MiB for c_out = 28 and 5.4 MiB for c_out = 112; one block
         # spanning a 256x256 image would hold about 19 MiB.
         rng = np.random.default_rng(17)
-        x = sign_pack(rng.standard_normal(shape).astype(np.float32))
-        w = sign_pack(rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32))
+        x = pack(sign(rng.standard_normal(shape).astype(np.float32)))
+        w = pack(sign(rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32)))
         tracemalloc.start()
         try:
             y = bit_conv2d(x, w, out_dtype=np.int16)

@@ -1,0 +1,204 @@
+"""Forwards without backward caches: ``layers.inference()`` and its one writer.
+
+Inside ``layers.inference()`` every cache write stores None, so an
+evaluation forward holds nothing for a backward. These tests check that
+such a forward gives the bytes of a caching one, leaves the heap holding
+little more than its output, makes a later backward fail loudly, and that
+``train.evaluate`` runs under it. A static check keeps ``Layer._save_cache``
+the only code in the package that assigns ``_cache``, so a layer added
+later cannot write a cache that the switch does not see.
+"""
+
+import ast
+import pathlib
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import bisrnet
+from bisrnet import layers
+from bisrnet.cassi import CassiSystem, random_mask, synth_scene
+from bisrnet.errors import StateError
+from bisrnet.network import PART_NAMES, NetworkConfig, build
+from bisrnet.train import evaluate
+
+from test_golden import CASES, CONFIGS
+
+
+def golden_inputs(seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random((2, 8, 32, 32)).astype(np.float32),
+            rng.random((2, 8, 32, 32)).astype(np.float32))
+
+
+def all_layers(net):
+    """Every layer of a network, composites and their sub-layers alike."""
+    todo = [layer for part in PART_NAMES for layer in net.part_layers(part)]
+    found = []
+    while todo:
+        layer = todo.pop()
+        found.append(layer)
+        todo.extend(layer.layers)
+    return found
+
+
+@pytest.mark.parametrize("name,surrogate", CASES)
+def test_cache_free_forward_gives_the_same_bytes(name, surrogate):
+    net = build(CONFIGS[name](base_channels=8, n_wavelengths=8), seed=300)
+    h_in, m_in = golden_inputs(301)
+    want = net.forward(h_in, m_in, surrogate=surrogate)
+    with layers.inference():
+        got = net.forward(h_in, m_in, surrogate=surrogate)
+    assert got.dtype == want.dtype and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def held_after_forward(cfg, cache_free):
+    """Bytes a (1, 8, 64, 64) forward leaves held besides its output, in
+    units of one input's bytes (which equal the output's)."""
+    net = build(cfg(base_channels=8, n_wavelengths=8), seed=0)
+    rng = np.random.default_rng(1)
+    h_in, m_in = (rng.random((1, 8, 64, 64)).astype(np.float32) for _ in range(2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        if cache_free:
+            with layers.inference():
+                out = net.forward(h_in, m_in)
+        else:
+            out = net.forward(h_in, m_in)
+        held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+    finally:
+        tracemalloc.stop()
+    return held / h_in.nbytes
+
+
+# A cache-free forward leaves less than one input's bytes held besides its
+# output. Caching forwards hold 26x (binarized) and 21x (base).
+HELD_BOUND = 1.0
+
+
+@pytest.mark.parametrize("cfg", [NetworkConfig.bisrnet, NetworkConfig.base_model],
+                         ids=["bisrnet", "base"])
+def test_cache_free_forward_holds_little_more_than_its_output(cfg):
+    assert held_after_forward(cfg, cache_free=True) < HELD_BOUND
+    assert held_after_forward(cfg, cache_free=False) > HELD_BOUND
+
+
+LAYERS = {
+    "BiSRConv": lambda rng: layers.BiSRConv(4, rng),
+    "VanillaBinConv": lambda rng: layers.VanillaBinConv(4, 6, 3, 1, 1, rng),
+    "Conv2dFP": lambda rng: layers.Conv2dFP(4, 4, 3, 1, 1, rng),
+    "ConvBlock": lambda rng: layers.ConvBlock(4, rng),
+    "Pool2": lambda rng: layers.Pool2(),
+    "Up2": lambda rng: layers.Up2(),
+}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+@pytest.mark.parametrize("trained_first", [False, True])
+def test_backward_after_cache_free_forward_raises(name, trained_first):
+    rng = np.random.default_rng(310)
+    layer = LAYERS[name](rng)
+    x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
+    if trained_first:
+        layer.forward(x)
+    with layers.inference():
+        y = layer.forward(x)
+    with pytest.raises(StateError):
+        layer.backward(np.ones_like(y))
+
+
+def keeps_cache():
+    layer = layers.Conv2dFP(2, 2, 1, rng=np.random.default_rng(330))
+    layer.forward(np.ones((1, 2, 2, 2), np.float32))
+    return layer._cache is not None
+
+
+def test_switch_is_restored_after_an_exception_and_nests():
+    assert keeps_cache()
+    with pytest.raises(RuntimeError):
+        with layers.inference():
+            raise RuntimeError("inside")
+    assert keeps_cache()
+    with layers.inference():
+        with layers.inference():
+            assert not keeps_cache()
+        assert not keeps_cache()
+    assert keeps_cache()
+
+
+def test_switch_belongs_to_the_calling_thread():
+    seen = []
+    with layers.inference():
+        worker = threading.Thread(target=lambda: seen.append(keeps_cache()))
+        worker.start()
+        worker.join(timeout=60)
+        assert not keeps_cache()
+    assert not worker.is_alive() and seen == [True]
+
+
+def test_evaluate_leaves_no_cache():
+    net = build(NetworkConfig.bisrnet(base_channels=4, n_wavelengths=8), seed=340)
+    h_in, m_in = (np.random.default_rng(341).random((1, 8, 16, 16)).astype(np.float32)
+                  for _ in range(2))
+    net.forward(h_in, m_in)  # a training forward's caches, which evaluate must clear
+    cached = [layer for layer in all_layers(net) if layer._cache is not None]
+    assert len(cached) > 20
+    evaluate(net, [synth_scene(342, 16, 16, 8)], CassiSystem(random_mask(343, 16, 16), 2, 8))
+    assert [layer.name for layer in all_layers(net) if layer._cache is not None] == []
+
+
+def cache_writers(source, module):
+    """Qualified names of the scopes that store to or delete an attribute
+    named ``_cache``, or name it in a setattr or delattr call."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        stores = (isinstance(node, ast.Attribute) and node.attr == "_cache"
+                  and isinstance(node.ctx, (ast.Store, ast.Del)))
+        sets = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr") and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_cache")
+        if stores or sets:
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_layer_writer_assigns_a_cache():
+    package = pathlib.Path(bisrnet.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += cache_writers(path.read_text(), path.stem)
+    assert found == ["layers.Layer._save_cache"]
+
+
+def test_cache_writer_check_sees_every_form_of_write():
+    source = """
+class Sneaky:
+    def a(self):
+        self._cache = 1
+    def b(self):
+        y, self._cache = 1, 2
+    def c(self):
+        self._cache += 1
+    def d(self):
+        setattr(self, "_cache", 1)
+    def e(self):
+        del self._cache
+    def f(self, other):
+        for other._cache in ():
+            pass
+    def g(self):
+        _cache = 1
+        return self._cache
+"""
+    assert cache_writers(source, "m") == [f"m.Sneaky.{f}" for f in "abcdef"]
