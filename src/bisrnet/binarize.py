@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ArgumentError
 
 STE_KINDS = ("clip", "quad", "quad_bounded", "tanh")
+QUADRATURE_SAMPLES = 400_001
 
 
 def sign(x):
@@ -86,16 +87,16 @@ def approx_error_area(kind, alpha=1.0):
     return 2.0 * math.log(2.0) / alpha
 
 
-def approx_error_area_numeric(kind, alpha=1.0, half_width=None, samples=400_001):
+def approx_error_area_numeric(kind, alpha=1.0):
     """Quadrature cross-check of :func:`approx_error_area`.
 
-    Integrates |sign - surrogate| on [-half_width, half_width]; the default
-    width is 2 for the piecewise kinds (the integrand vanishes beyond |x|=1)
-    and 50/alpha for tanh, wide enough that the tail is < 1e-21.
+    Integrates |sign - surrogate| by the trapezoid rule over
+    QUADRATURE_SAMPLES points of [-h, h]: h is 2 for the piecewise kinds
+    (the integrand vanishes beyond |x|=1) and 50/alpha for tanh, wide enough
+    that the tail is < 1e-21.
     """
     _check_kind(kind, alpha)
-    if half_width is None:
-        half_width = 2.0 if kind != "tanh" else 50.0 / alpha
-    xs = np.linspace(-half_width, half_width, samples)
+    half_width = 2.0 if kind != "tanh" else 50.0 / alpha
+    xs = np.linspace(-half_width, half_width, QUADRATURE_SAMPLES)
     diff = np.abs(sign(xs) - ste_value(xs, kind, alpha))
     return float(np.trapezoid(diff, xs))

@@ -125,26 +125,12 @@ def pack(x):
     return BitTensor(shape=x.shape, words=_pack_channels(x))
 
 
-def unpack(bt, dtype=np.float32):
-    """Expand a BitTensor back to a dense {-1,+1} tensor."""
+def unpack(bt):
+    """Expand a BitTensor back to a dense float32 {-1,+1} tensor."""
     raw = np.ascontiguousarray(bt.words).view(np.uint8)
     bits = np.unpackbits(raw, axis=-1, bitorder="little", count=bt.shape[1])
     bits = np.ascontiguousarray(bits.transpose(0, 3, 1, 2))
-    return np.where(bits, 1, -1).astype(dtype)
-
-
-def xnor_popcount_dot(a_words, b_words, n_bits):
-    """{-1,+1} dot product of two packed bit vectors of valid length n_bits."""
-    a_words = np.asarray(a_words, dtype=np.uint64).ravel()
-    b_words = np.asarray(b_words, dtype=np.uint64).ravel()
-    nw = words_per_row(n_bits)
-    if a_words.size < nw or b_words.size < nw:
-        raise ArgumentError(
-            f"need {nw} words for {n_bits} bits, got {a_words.size} and {b_words.size}"
-        )
-    mask = _tail_mask(n_bits)
-    agree = int(np.bitwise_count(~(a_words[:nw] ^ b_words[:nw]) & mask).sum())
-    return 2 * agree - n_bits
+    return np.where(bits, 1, -1).astype(np.float32)
 
 
 def _place_field(dst, src, bit, width, tmp):

@@ -146,10 +146,10 @@ def synth_scene(seed, h, w, n_bands):
     return cube.astype(np.float32)
 
 
-def random_mask(seed, h, w, density=0.5):
-    """Seeded binary coded aperture."""
+def random_mask(seed, h, w):
+    """Seeded binary coded aperture, each element open with probability 1/2."""
     rng = np.random.default_rng(seed)
-    return (rng.random((h, w)) < density).astype(np.float32)
+    return (rng.random((h, w)) < 0.5).astype(np.float32)
 
 
 def crop_augment(cube, mask2d, patch, seed):

@@ -439,18 +439,18 @@ class BiSRConv(VanillaBinConv):
     (:meth:`_preact_scale`).
 
     ``ste`` picks the backward surrogate for both activations and, when
-    "tanh", adds a learnable sharpness alpha.
+    "tanh", adds a learnable sharpness alpha that starts at 1.
     """
 
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
-                 redistribute=True, alpha0=1.0, name="bisr"):
+                 redistribute=True, name="bisr"):
         super().__init__(channels, channels, 3, 1, 1, rng, dtype, ste, name)
         self.channels = channels
         self.redistribute = redistribute
         self.gain = Param(f"{name}.gain", np.ones(channels, dtype)) if redistribute else None
         self.shift = Param(f"{name}.shift", np.zeros(channels, dtype)) if redistribute else None
         self.alpha = (
-            Param(f"{name}.alpha", np.asarray(alpha0, dtype), min_value=ALPHA_FLOOR)
+            Param(f"{name}.alpha", np.asarray(1.0, dtype), min_value=ALPHA_FLOOR)
             if ste == "tanh"
             else None
         )
@@ -529,7 +529,7 @@ class BiSRConv(VanillaBinConv):
             mask, np.asarray(1, grad_out.dtype), self.beta.value[None, :, None, None]
         )
         self.beta.grad += np.where(mask, 0, grad_out * (y - g)).sum(axis=(0, 2, 3))
-        self.gamma.grad += (-gy).sum(axis=(0, 2, 3))
+        self.gamma.grad -= gy.sum(axis=(0, 2, 3))
         self.zeta.grad += grad_out.sum(axis=(0, 2, 3))
 
         gxr = self._binconv_backward(cache, gy)

@@ -205,56 +205,37 @@ class Network:
             return NormalFuse(c_skip_in, c_out, rng, dtype, ste, name)
 
         be, bb, bd = cfg.binarize_encoder, cfg.binarize_bottleneck, cfg.binarize_decoder
+        # The skip width of each U level, outermost first, and the channels
+        # its upsample returns: the fp upsample keeps its input's 2c, the
+        # binarized one halves it.
+        widths = (C, 2 * C)
+        up_out = [c if bd else 2 * c for c in widths]
 
-        self.embedding = Chain(
-            [
-                Conv2dFP(2 * NL, C, 1, 1, 0, rng, dtype, "embedding.proj"),
-                ConvBlock(C, rng, dtype, "embedding.refine"),
-            ],
-            "embedding",
-        )
-        self.enc_block1 = block(C, be, "encoder.block1")
-        self.enc_down1 = down(C, be, "encoder.down1")
-        self.enc_block2 = block(2 * C, be, "encoder.block2")
-        self.enc_down2 = down(2 * C, be, "encoder.down2")
-        self.bottleneck = block(4 * C, bb, "bottleneck.block")
-        # The fp upsample keeps channels (4C), the binarized ones halve (2C);
-        # the fusion input is that plus the 2C / C skip.
-        up1_out = 2 * C if bd else 4 * C
-        up2_out = C if bd else 2 * C
-        self.dec_up1 = up(4 * C, bd, "decoder.up1")
-        self.dec_fuse1 = fuse(up1_out + 2 * C, 2 * C, bd, "decoder.fuse1")
-        self.dec_block1 = block(2 * C, bd, "decoder.block1")
-        self.dec_up2 = up(2 * C, bd, "decoder.up2")
-        self.dec_fuse2 = fuse(up2_out + C, C, bd, "decoder.fuse2")
-        self.dec_block2 = block(C, bd, "decoder.block2")
-        self.mapping = Conv2dFP(C, NL, 1, 1, 0, rng, dtype, "mapping.proj")
+        # The parts in parameter order, which is also the rng's draw order.
+        self._parts = {
+            "embedding": [Chain([Conv2dFP(2 * NL, C, 1, 1, 0, rng, dtype, "embedding.proj"),
+                                 ConvBlock(C, rng, dtype, "embedding.refine")], "embedding")],
+            "encoder": [layer for i, c in enumerate(widths, 1)
+                        for layer in (block(c, be, f"encoder.block{i}"),
+                                      down(c, be, f"encoder.down{i}"))],
+            "bottleneck": [block(4 * C, bb, "bottleneck.block")],
+            "decoder": [layer for i, c, u in zip((1, 2), widths[::-1], up_out[::-1])
+                        for layer in (up(2 * c, bd, f"decoder.up{i}"),
+                                      fuse(u + c, c, bd, f"decoder.fuse{i}"),
+                                      block(c, bd, f"decoder.block{i}"))],
+            "mapping": [Conv2dFP(C, NL, 1, 1, 0, rng, dtype, "mapping.proj")],
+        }
 
         # The U levels, outermost first: encoder block and downsample, then
         # the decoder's upsample, skip fusion and block at the same
         # resolution, and the upsample's output channels.
-        self._levels = [
-            (self.enc_block1, self.enc_down1, self.dec_up2, self.dec_fuse2, self.dec_block2,
-             up2_out),
-            (self.enc_block2, self.enc_down2, self.dec_up1, self.dec_fuse1, self.dec_block1,
-             up1_out),
-        ]
+        enc, dec = self._parts["encoder"], self._parts["decoder"]
+        enc_levels = zip(enc[0::2], enc[1::2])
+        dec_levels = list(zip(dec[0::3], dec[1::3], dec[2::3]))[::-1]
+        self._levels = [(*e, *d, u) for e, d, u in zip(enc_levels, dec_levels, up_out)]
 
     def part_layers(self, part):
-        return {
-            "embedding": [self.embedding],
-            "encoder": [self.enc_block1, self.enc_down1, self.enc_block2, self.enc_down2],
-            "bottleneck": [self.bottleneck],
-            "decoder": [
-                self.dec_up1,
-                self.dec_fuse1,
-                self.dec_block1,
-                self.dec_up2,
-                self.dec_fuse2,
-                self.dec_block2,
-            ],
-            "mapping": [self.mapping],
-        }[part]
+        return self._parts[part]
 
     def params(self):
         return [p for part in PART_NAMES for layer in self.part_layers(part) for p in layer.params()]
@@ -277,20 +258,21 @@ class Network:
             )
         _check_spatial(*h_shifted.shape[2:])
 
-        xs = self.embedding.forward(concat_channels(h_shifted, m_shifted), surrogate=surrogate)
+        xs = self._parts["embedding"][0].forward(concat_channels(h_shifted, m_shifted),
+                                                 surrogate=surrogate)
         xd = self._level_forward(self._levels, xs, surrogate)
-        return self.mapping.forward(xs + xd, surrogate=surrogate)
+        return self._parts["mapping"][0].forward(xs + xd, surrogate=surrogate)
 
     def backward(self, grad_out):
-        gsum = self.mapping.backward(grad_out)  # grad wrt xs + xd
+        gsum = self._parts["mapping"][0].backward(grad_out)  # grad wrt xs + xd
         gxs = self._level_backward(self._levels, gsum) + gsum
-        return split_channels(self.embedding.backward(gxs), self.cfg.n_wavelengths)
+        return split_channels(self._parts["embedding"][0].backward(gxs), self.cfg.n_wavelengths)
 
     def _level_forward(self, levels, x, surrogate):
         """Runs the outermost of ``levels`` around the inner ones; the
         bottleneck sits inside the innermost."""
         if not levels:
-            return self.bottleneck.forward(x, surrogate=surrogate)
+            return self._parts["bottleneck"][0].forward(x, surrogate=surrogate)
         enc, down, up, fuse, dec, _ = levels[0]
         skip = enc.forward(x, surrogate=surrogate)
         inner = self._level_forward(levels[1:], down.forward(skip, surrogate=surrogate), surrogate)
@@ -301,7 +283,7 @@ class Network:
     def _level_backward(self, levels, grad):
         """Backward of :meth:`_level_forward` for the same ``levels``."""
         if not levels:
-            return self.bottleneck.backward(grad)
+            return self._parts["bottleneck"][0].backward(grad)
         enc, down, up, fuse, dec, up_channels = levels[0]
         gu, gskip = split_channels(fuse.backward(dec.backward(grad)), up_channels)
         ginner = self._level_backward(levels[1:], up.backward(gu))

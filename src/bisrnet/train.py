@@ -11,6 +11,9 @@ from .errors import ArgumentError, DimensionError, DomainError
 LOSS_FLOOR = 1e-12
 PSNR_CAP_DB = 100.0
 PSNR_MSE_FLOOR = 1e-10
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def rmse_loss(pred, target):
@@ -50,8 +53,8 @@ class AdamState:
         )
 
 
-def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update in place.
+def adam_step(params, state, lr):
+    """One bias-corrected Adam update in place, with the ADAM_* constants.
 
     Parameters carrying a min_value (the tanh sharpness alphas) are clamped
     after the update.
@@ -59,20 +62,21 @@ def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     if len(state.m) != len(params):
         raise DimensionError("optimizer state does not mirror the parameter list")
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad.astype(np.float64)
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        p.value[...] = (p.value - update.astype(p.value.dtype)).astype(p.value.dtype)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p.value[...] = p.value - update.astype(p.value.dtype)
         if p.min_value is not None:
             np.maximum(p.value, p.min_value, out=p.value)
 
 
-def psnr(pred, target, peak=1.0):
-    """Peak SNR in dB, averaged over bands for 3-D inputs, capped at 100."""
+def psnr(pred, target):
+    """Peak SNR in dB for a peak of 1, averaged over bands for 3-D inputs,
+    capped at 100."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -85,14 +89,17 @@ def psnr(pred, target, peak=1.0):
         if mse < PSNR_MSE_FLOOR:
             vals.append(PSNR_CAP_DB)
         else:
-            vals.append(min(10.0 * math.log10(peak * peak / mse), PSNR_CAP_DB))
+            vals.append(min(10.0 * math.log10(1.0 / mse), PSNR_CAP_DB))
     return float(np.mean(vals))
 
 
-def _gaussian_window(size=11, sigma=1.5):
+def _gaussian_window(size, sigma):
     x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
     return g / g.sum()
+
+
+_SSIM_WINDOW = _gaussian_window(11, 1.5)
 
 
 def _filter_valid(img, kernel):
@@ -103,8 +110,9 @@ def _filter_valid(img, kernel):
     return sliding_window_view(rows, kernel.size, axis=1) @ kernel
 
 
-def ssim(pred, target, peak=1.0, window=11, sigma=1.5):
-    """Single-scale SSIM with an 11x11 Gaussian window (sigma 1.5).
+def ssim(pred, target):
+    """Single-scale SSIM for a peak of 1, with an 11x11 Gaussian window
+    (sigma 1.5).
 
     Band images below the window size are rejected. 3-D inputs are scored
     per band and averaged.
@@ -115,11 +123,11 @@ def ssim(pred, target, peak=1.0, window=11, sigma=1.5):
         raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
     if pred.ndim == 2:
         pred, target = pred[None], target[None]
-    if pred.shape[-1] < window or pred.shape[-2] < window:
-        raise DimensionError(f"images must be at least {window}x{window} for SSIM")
-    k = _gaussian_window(window, sigma)
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    k = _SSIM_WINDOW
+    if min(pred.shape[-2:]) < k.size:
+        raise DimensionError(f"images must be at least {k.size}x{k.size} for SSIM")
+    c1 = 0.01**2
+    c2 = 0.03**2
     vals = []
     for p, t in zip(pred, target):
         mu_p = _filter_valid(p, k)
@@ -142,7 +150,6 @@ class TrainConfig:
     patch: int = 48
     seed: int = 0
     noise: bool = False
-    noise_bit_depth: int = 11
 
     def __post_init__(self):
         if self.batch < 1:
@@ -167,7 +174,7 @@ def make_sample(scene, mask2d, sys_step, cfg, sample_seed, augment=True):
     sys = cassi.CassiSystem(mask, step=sys_step, n_bands=cube.shape[0])
     y = cassi.forward_capture(cube, sys)
     if cfg.noise:
-        y = cassi.add_shot_noise(y, cfg.noise_bit_depth, seed=sample_seed)
+        y = cassi.add_shot_noise(y, seed=sample_seed)
     h_in = cassi.shift_back(y, sys)
     m_in = cassi.shift_mask(sys)
     return h_in, m_in, cube

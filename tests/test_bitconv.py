@@ -13,7 +13,6 @@ from bisrnet.bitpack import (
     pack,
     unpack,
     words_per_row,
-    xnor_popcount_dot,
 )
 from bisrnet.errors import ArgumentError, DomainError
 from bisrnet.tensor import conv2d_ref
@@ -61,48 +60,6 @@ class TestPackUnpack:
         rng = np.random.default_rng(seed)
         x = random_pm1(rng, (n, c, h, w))
         np.testing.assert_array_equal(unpack(pack(x)), x)
-
-
-class TestXnorPopcountDot:
-    def pack_row(self, values):
-        x = np.asarray(values, dtype=np.float32).reshape(1, -1, 1, 1)
-        return pack(x).words.ravel()
-
-    def test_hand_case(self):
-        a = self.pack_row([1, -1, 1])
-        b = self.pack_row([1, 1, -1])
-        assert xnor_popcount_dot(a, b, 3) == -1
-
-    def test_self_dot(self):
-        rng = np.random.default_rng(1)
-        v = random_pm1(rng, (64,))
-        a = self.pack_row(v)
-        assert xnor_popcount_dot(a, a, 64) == 64
-
-    def test_full_disagreement(self):
-        rng = np.random.default_rng(2)
-        v = random_pm1(rng, (77,))
-        assert xnor_popcount_dot(self.pack_row(v), self.pack_row(-v), 77) == -77
-
-    def test_matches_float_dot(self):
-        rng = np.random.default_rng(3)
-        for n in (1, 7, 64, 65, 200):
-            a = random_pm1(rng, (n,))
-            b = random_pm1(rng, (n,))
-            got = xnor_popcount_dot(self.pack_row(a), self.pack_row(b), n)
-            assert got == int(np.dot(a.astype(np.float64), b.astype(np.float64)))
-
-    def test_padding_bits_ignored(self):
-        # Two rows identical in the valid region must dot the same even if
-        # their don't-care bits differ (constructed via different row widths).
-        a = self.pack_row([1, -1, 1])
-        b = self.pack_row([1, -1, 1, 1, 1, 1])  # extra +1s set high bits
-        assert xnor_popcount_dot(a, b, 3) == 3
-
-    def test_length_validated(self):
-        a = self.pack_row([1, -1])
-        with pytest.raises(ArgumentError):
-            xnor_popcount_dot(a, a, 65)
 
 
 class TestBitConv2d:
