@@ -127,7 +127,7 @@ def synth_scene(seed, h, w, n_bands):
     drifts slowly across bands so neighbouring bands stay correlated.
     """
     if h < 1 or w < 1 or n_bands < 1:
-        raise ArgumentError("scene dims must be positive")
+        raise ArgumentError(f"scene dims must be positive, got {n_bands}x{h}x{w}")
     rng = np.random.default_rng(seed)
     n_components = 6
     ys, xs = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")

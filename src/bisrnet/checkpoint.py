@@ -59,7 +59,12 @@ def save_checkpoint(net, directory):
 
 
 def load_checkpoint(net, directory):
-    """Fill an already-built network's parameters from a checkpoint."""
+    """Fill an already-built network's parameters from a checkpoint.
+
+    Every parameter's name, size and shape is checked, and every file read,
+    before the first parameter is assigned, so a load that raises leaves
+    the network as it was.
+    """
     index_path = os.path.join(directory, INDEX_NAME)
     if not os.path.exists(index_path):
         raise IOError(f"{index_path}: checkpoint index not found")
@@ -71,6 +76,7 @@ def load_checkpoint(net, directory):
                 continue
             name, shape, _role_, fname = line.split("\t")
             entries[name] = (shape, fname)
+    loaded = []
     for p in net.params():
         if p.name not in entries:
             raise StateError(f"checkpoint is missing parameter {p.name}")
@@ -85,6 +91,8 @@ def load_checkpoint(net, directory):
             raise StateError(
                 f"{p.name}: checkpoint shape {shape} != built shape {p.value.shape}"
             )
-        p.value[...] = data.reshape(shape).astype(p.value.dtype)
+        loaded.append((p, data.reshape(shape)))
     if entries:
         raise StateError(f"checkpoint has extra parameters: {sorted(entries)}")
+    for p, data in loaded:
+        p.value[...] = data.astype(p.value.dtype)

@@ -16,6 +16,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 import argparse
 import csv
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -48,10 +49,10 @@ def write_manifest(out_dir, args, outputs):
     lines = [
         f"command={args.command}",
         f"version={__version__}",
-        f"argv={' '.join(sys.argv[1:])}",
+        f"argv={shlex.join(args.argv)}",
     ]
     for key, value in sorted(vars(args).items()):
-        if key in ("command", "func"):
+        if key in ("command", "func", "argv"):
             continue
         lines.append(f"{key}={value}")
     for out in outputs:
@@ -343,8 +344,9 @@ def _config_line_to_args(line):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The manifest records the argv parsed here, not the process's.
+    args.argv = sys.argv[1:] if argv is None else argv
     try:
         return args.func(args)
     except Exception as exc:  # argparse usage errors exit(2) before this

@@ -48,11 +48,12 @@ its exact width:
   input;
 - both 1-bit layers cache their input ``x`` plus the raw popcount sums,
   which are integers with ``|raw| <= k*k*c_in`` and so sit exactly in
-  2-byte int16 (int32 beyond 32767, promoting as int16 does so that a
-  float32 layer stays float32). One method, ``VanillaBinConv._binconv``,
-  builds that cache for both. The redistributed input ``xr`` is
-  recomputed from ``x`` in the backward by ``_redistribute``, whose
-  per-element arithmetic the forward repeats block by block;
+  2-byte int16, or in the layer's float type beyond a fan-in of 32767
+  (float32 holds them exactly below 2^24). One method,
+  ``VanillaBinConv._binconv``, builds that cache for both. The
+  redistributed input ``xr`` is recomputed from ``x`` in the backward by
+  ``_redistribute``, whose per-element arithmetic the forward repeats
+  block by block;
 - :class:`ConvBlock` caches the leaky activation, the very array that
   ``conv2`` caches as its input, so the two share it.
 
@@ -66,6 +67,12 @@ rows of channel-last memory, and the per-channel parameters are tiled w
 times, so each ufunc runs rows w*c long, not c. BiSRConv's output is
 channel-last when it holds at least 256 KiB or when x is channel-last,
 and takes x's memory order otherwise.
+
+A conv layer computes in its weights' dtype. :class:`Conv2dFP` and both
+1-bit layers raise ArgumentError, naming the layer and both dtypes, for an
+input of any other dtype, so a float32 network fed float64 inputs stops at
+its first layer. Every float array of a conv layer's forward, its output
+included, then has that one dtype.
 
 Three building blocks make up the paper's modules:
 
@@ -97,7 +104,7 @@ import numpy as np
 
 from . import bitpack
 from .binarize import binarize_weights, sign, ste_grad, ste_value
-from .errors import DimensionError, StateError
+from .errors import ArgumentError, DimensionError, StateError
 from .tensor import (
     avg_pool2x2,
     avg_pool2x2_backward,
@@ -211,21 +218,8 @@ _BLOCK_ELEMS = 1 << 16
 # A BiSRConv output of at least this many bytes is channel-last.
 _CHANNEL_LAST_BYTES = 1 << 18
 # The widest fan-in k*k*c_in whose raw sums are kept as int16; wider ones
-# are int32.
+# are kept in the layer's float type.
 _INT16_FAN_IN = np.iinfo(np.int16).max
-
-
-def _sums_dtype(raw):
-    """The dtype that raw sums promote as. Integer sums promote as int16
-    at any width, so that a float32 layer stays float32 where a fan-in
-    beyond _INT16_FAN_IN keeps them as int32 (float32 holds them exactly
-    below 2^24). Surrogate sums are float and promote as themselves."""
-    return np.dtype(np.int16) if raw.dtype.kind == "i" else raw.dtype
-
-
-def _times_sums(a, raw):
-    """a * raw in the dtype of ``a`` and :func:`_sums_dtype`."""
-    return np.multiply(a, raw, dtype=np.result_type(a, _sums_dtype(raw)))
 
 
 def _block_rows(n, h, row_elems):
@@ -312,6 +306,12 @@ class _Conv(Layer):
     def params(self):
         return [self.weight]
 
+    def _check_dtype(self, x):
+        """Raises ArgumentError unless ``x`` has the weight's dtype."""
+        dt = self.weight.value.dtype
+        if x.dtype != dt:
+            raise ArgumentError(f"{self.name}: input dtype {x.dtype} != weight dtype {dt}")
+
     def count_macs(self, h, w):
         ho = (h + 2 * self.pad - self.k) // self.stride + 1
         wo = (w + 2 * self.pad - self.k) // self.stride + 1
@@ -356,7 +356,7 @@ class VanillaBinConv(_Conv):
         bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
         if self.gain is not None:
             gain, shift = (_tile_w(p.value, w) for p in (self.gain, self.shift))
-            xr = np.empty((rows, w, c), np.result_type(gain, x, shift))
+            xr = np.empty((rows, w, c), x.dtype)
         for blk in _blocks(n, h, rows):
             xb = xv[blk]
             if self.gain is not None:
@@ -369,15 +369,16 @@ class VanillaBinConv(_Conv):
         """The dense conv operands: (sign(x_r), sign(w)), or their surrogates."""
         if not surrogate:
             return sign(xr), w_sign
-        w = self.weight.value
-        return ste_value(xr, self.ste, alpha).astype(xr.dtype), ste_value(w, "clip").astype(w.dtype)
+        return ste_value(xr, self.ste, alpha), ste_value(self.weight.value, "clip")
 
     def _binconv(self, x, surrogate):
         """Convolves the layer input ``x``, writes the cache and returns
         (scale, raw): scale = mean|w| and raw = conv(sign(x_r), sign(w))
         unscaled, with both signs replaced by their surrogates when
         ``surrogate``. On the sign path the raw sums are integers, kept as
-        int16 where they fit, and sign(x_r) goes straight into bits."""
+        int16 where they fit and in x's float dtype beyond, and sign(x_r)
+        goes straight into bits."""
+        self._check_dtype(x)
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         scale, w_sign = binarize_weights(self.weight.value)
         if surrogate:
@@ -389,7 +390,7 @@ class VanillaBinConv(_Conv):
             n_bits = self.k * self.k * self.c_in
             raw = bitpack.bit_conv2d(
                 self._sign_pack(x), bitpack.pack(w_sign), scale=1.0, stride=self.stride,
-                pad=self.pad, out_dtype=np.int16 if n_bits <= _INT16_FAN_IN else np.int32,
+                pad=self.pad, out_dtype=np.int16 if n_bits <= _INT16_FAN_IN else x.dtype,
             )
         self._save_cache((x, surrogate, w_sign, scale, raw, alpha))
         return scale, raw
@@ -403,7 +404,7 @@ class VanillaBinConv(_Conv):
         x, surrogate, w_sign, scale, raw, alpha = cache
         xr = self._redistribute(x)
         xb, wq = self._operands(xr, w_sign, surrogate, alpha)
-        gscale = float(_times_sums(grad, raw).sum())
+        gscale = float((grad * raw).sum())
         graw = grad * np.asarray(scale, grad.dtype)
         gxb, gwq = conv2d_vjp(xb, wq, graw, stride=self.stride, pad=self.pad, pad_value=-1.0)
         w = self.weight.value
@@ -419,7 +420,7 @@ class VanillaBinConv(_Conv):
 
     def forward(self, x, surrogate=False):
         scale, raw = self._binconv(x, surrogate)
-        return _times_sums(np.asarray(scale, x.dtype), raw)
+        return np.asarray(scale, x.dtype) * raw
 
     def backward(self, grad_out):
         return self._binconv_backward(self._pop_cache(), grad_out)
@@ -434,9 +435,10 @@ class BiSRConv(VanillaBinConv):
     The steps up to the convolution are VanillaBinConv's. This class adds
     RPReLU and the residual, fused into one blocked pass
     (:meth:`_residual_rprelu`, which also states the output's memory
-    order), and the gain/shift gradients. The forward and the backward
-    form the RPReLU pre-activation y = scale * raw in one dtype
-    (:meth:`_preact_scale`).
+    order), and the gain/shift gradients. Like every conv layer it
+    computes in its weights' dtype: the forward and the backward form the
+    RPReLU pre-activation y = scale * raw in x's dtype, which the input
+    check makes the parameters' dtype too.
 
     ``ste`` picks the backward surrogate for both activations and, when
     "tanh", adds a learnable sharpness alpha that starts at 1.
@@ -462,22 +464,18 @@ class BiSRConv(VanillaBinConv):
         ps = [self.weight, self.gain, self.shift, self.alpha, self.beta, self.gamma, self.zeta]
         return [p for p in ps if p is not None]
 
-    def _preact_scale(self, x, scale):
-        """``scale`` as a 0-d array in the dtype of y = scale * raw: x's,
-        promoted with the layer's parameters', which all share beta's."""
-        return np.asarray(scale, np.result_type(x, self.beta.value))
-
     def _residual_rprelu(self, x, scale, raw):
         """x + rprelu(scale * raw), one block at a time, straight into the
         output.
 
-        ``scale`` comes from :meth:`_preact_scale`. ``raw`` is an (n, c, h,
-        w) view of channel-last memory, as both convolutions return it. Each
-        block runs scale * raw, the RPReLU passes and the residual add over
-        channel-last rows w*c long, with the per-channel parameters tiled w
-        times, in buffers reused from block to block. Every element sees
-        the arithmetic of the unfused expression, in the same dtypes, with
-        integer sums promoting as :func:`_sums_dtype` says.
+        ``scale`` is a 0-d array in x's dtype. ``raw`` is an (n, c, h, w)
+        view of channel-last memory, as both convolutions return it: int16
+        sums, or sums in x's float dtype. Each block runs scale * raw, the
+        RPReLU passes and the residual add over channel-last rows w*c long,
+        with the per-channel parameters tiled w times, in buffers reused
+        from block to block. y and the output are in x's dtype, which is
+        the layer's, and every element sees the arithmetic of the unfused
+        expression.
 
         The output is channel-last, like ``raw``, when it holds at least
         256 KiB or when ``x`` is channel-last; otherwise it takes ``x``'s
@@ -487,16 +485,14 @@ class BiSRConv(VanillaBinConv):
         digests pin this rule.
         """
         n, c, h, w = x.shape
-        params = (self.beta.value, self.gamma.value, self.zeta.value)
-        dt = np.result_type(scale, _sums_dtype(raw), *params)
-        out_dtype = np.result_type(x, dt)
-        if x.size * out_dtype.itemsize >= _CHANNEL_LAST_BYTES:
-            out = np.empty((n, h, w, c), out_dtype).transpose(0, 3, 1, 2)
+        if x.nbytes >= _CHANNEL_LAST_BYTES:
+            out = np.empty((n, h, w, c), x.dtype).transpose(0, 3, 1, 2)
         else:
-            out = np.empty_like(x, dtype=out_dtype)
+            out = np.empty_like(x)
         rows = _block_rows(n, h, w * c)
-        prm = _rprelu_params(*(_tile_w(p, w) for p in params), dt, (w, c))
-        y = np.empty((rows, w, c), dt)
+        params = (self.beta.value, self.gamma.value, self.zeta.value)
+        prm = _rprelu_params(*(_tile_w(p, w) for p in params), x.dtype, (w, c))
+        y = np.empty((rows, w, c), x.dtype)
         factor = np.empty(y.shape, prm[0].dtype)
         xv, rv, ov = (a.transpose(0, 2, 3, 1) for a in (x, raw, out))
         for blk in _blocks(n, h, rows):
@@ -512,7 +508,7 @@ class BiSRConv(VanillaBinConv):
                 f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
             )
         scale, raw = self._binconv(x, surrogate)
-        return self._residual_rprelu(x, self._preact_scale(x, scale), raw)
+        return self._residual_rprelu(x, np.asarray(scale, x.dtype), raw)
 
     def backward(self, grad_out):
         cache = self._pop_cache()
@@ -522,7 +518,7 @@ class BiSRConv(VanillaBinConv):
                 f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
             )
         # RPReLU backward, its mask recomputed from the pre-activation y.
-        y = _times_sums(self._preact_scale(x, scale), raw)
+        y = np.asarray(scale, x.dtype) * raw
         g = self.gamma.value[None, :, None, None]
         mask = y > g
         gy = grad_out * np.where(
@@ -552,6 +548,7 @@ class Conv2dFP(_Conv):
         return [self.weight, self.bias]
 
     def forward(self, x, surrogate=False):
+        self._check_dtype(x)
         y = conv2d_forward(x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0)
         self._save_cache(x)
         return y

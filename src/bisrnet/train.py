@@ -160,17 +160,14 @@ class TrainConfig:
             raise ArgumentError("steps must be >= 1")
 
 
-def make_sample(scene, mask2d, sys_step, cfg, sample_seed, augment=True):
+def make_sample(scene, mask2d, sys_step, cfg, sample_seed):
     """Build one (h_input, m_input, target) training triple.
 
     Crops/augments the scene and mask, simulates the capture (optionally
     with shot noise), shifts it back, and pairs it with the aligned mask
     channels. Deterministic in sample_seed.
     """
-    if augment:
-        cube, mask = cassi.crop_augment(scene, mask2d, cfg.patch, sample_seed)
-    else:
-        cube, mask = scene, mask2d
+    cube, mask = cassi.crop_augment(scene, mask2d, cfg.patch, sample_seed)
     sys = cassi.CassiSystem(mask, step=sys_step, n_bands=cube.shape[0])
     y = cassi.forward_capture(cube, sys)
     if cfg.noise:
@@ -185,9 +182,12 @@ def synthetic_stream(n_bands, cfg, scene_size=None, n_scenes=4, sys_step=2):
 
     batch_fn(step) stacks cfg.batch samples; the crop, augmentation and
     noise seeds derive from (cfg.seed, step, slot), so sample order is a
-    pure function of the config.
+    pure function of the config. Scenes are ``scene_size`` square, or
+    2 * cfg.patch when it is None.
     """
-    size = scene_size or 2 * cfg.patch
+    if n_scenes < 1:
+        raise ArgumentError(f"scene pool size must be at least 1, got {n_scenes}")
+    size = 2 * cfg.patch if scene_size is None else scene_size
     scenes = [
         cassi.synth_scene(cfg.seed * 1000 + i, size, size, n_bands)
         for i in range(n_scenes)

@@ -29,7 +29,7 @@ from bisrnet.layers import (
 )
 from bisrnet.network import NetworkConfig, build
 from bisrnet.tensor import avg_pool2x2, bilinear_up2, concat_channels, conv2d_ref, split_channels
-from bisrnet.train import TrainConfig, make_sample, psnr, ssim, synthetic_stream, train
+from bisrnet.train import TrainConfig, psnr, ssim, synthetic_stream, train
 
 from conftest import finite_difference_check
 
@@ -250,8 +250,9 @@ def test_criterion_8_training_dynamics():
     scene = cassi.synth_scene(0, 48, 48, 8)
     mask = cassi.random_mask(1, 48, 48)
     tcfg = TrainConfig(steps=500, batch=1, lr_max=4e-4, lr_min=1e-6, patch=48, seed=0)
-    h_in, m_in, cube = make_sample(scene, mask, 2, tcfg, 0, augment=False)
-    sample = (h_in[None], m_in[None], cube[None])
+    sys_ = cassi.CassiSystem(mask, step=2, n_bands=8)
+    h_in = cassi.shift_back(cassi.forward_capture(scene, sys_), sys_)
+    sample = (h_in[None], cassi.shift_mask(sys_)[None], scene[None])
 
     losses = []
     for _ in range(2):

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -145,6 +146,17 @@ class TestTrainEval:
         assert (out / "checkpoint" / "index.txt").exists()
         assert (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--scenes", "scene pool size must be at least 1, got 0"),
+        ("--scene-size", "scene dims must be positive, got 8x0x0"),
+    ], ids=["scenes", "scene_size"])
+    def test_train_zero_scene_value_fails(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "run"
+        assert run_cli("train", "--channels", "8", "--wavelengths", "8", "--steps", "1",
+                       "--batch", "1", "--patch", "16", flag, "0", "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_reproducible(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -192,6 +204,16 @@ class TestTrainEval:
                        "--height", "24", "--width", "24", "--out", str(out)) == 1
         assert "--synth-scenes" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+
+class TestManifest:
+    def test_records_the_parsed_argv(self, tmp_path):
+        # Not the process's argv, which under pytest holds pytest's own.
+        argv = ["count", "--channels", "8", "--wavelengths", "8", "--height", "32",
+                "--width", "32", "--out", str(tmp_path / "a b")]
+        assert main(argv) == 0
+        lines = (tmp_path / "a b" / "manifest.txt").read_text().splitlines()
+        assert f"argv={shlex.join(argv)}" in lines
 
 
 class TestConfigFile:

@@ -3,7 +3,7 @@ import pytest
 
 from bisrnet import layers
 from bisrnet.binarize import sign
-from bisrnet.errors import DimensionError, StateError
+from bisrnet.errors import ArgumentError, DimensionError, StateError
 from bisrnet.layers import (
     BinDownsample,
     BinFusionDown,
@@ -179,6 +179,23 @@ class TestConv2dFP:
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         layer.forward(x)
         assert layer._cache is x
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng, dt: Conv2dFP(4, 4, 3, 1, 1, rng, dt, name="fp"),
+    lambda rng, dt: VanillaBinConv(4, 4, 3, 1, 1, rng, dt, name="bin"),
+    lambda rng, dt: BiSRConv(4, rng, dt, name="bisr"),
+], ids=["Conv2dFP", "VanillaBinConv", "BiSRConv"])
+@pytest.mark.parametrize("layer_dtype,x_dtype", [("float32", "float64"), ("float64", "float32")])
+@pytest.mark.parametrize("surrogate", [False, True])
+def test_input_of_another_dtype_rejected(build, layer_dtype, x_dtype, surrogate):
+    # A conv layer computes in its weights' dtype and names both on a mismatch.
+    layer = build(np.random.default_rng(8), np.dtype(layer_dtype))
+    x = np.zeros((1, 4, 6, 6), x_dtype)
+    message = f"^{layer.name}: input dtype {x_dtype} != weight dtype {layer_dtype}$"
+    with pytest.raises(ArgumentError, match=message):
+        layer.forward(x, surrogate=surrogate)
+    assert layer._cache is None
 
 
 class TestConvBlock:
@@ -368,7 +385,7 @@ class TestNormalModules:
         want = scale * conv2d_ref(sign(x), sign(w), stride=2, pad=1, pad_value=-1.0)
         np.testing.assert_array_equal(mod.forward(x), want)
 
-    def test_wide_fan_in_keeps_int32_raw_sums(self):
+    def test_wide_fan_in_keeps_float32_raw_sums(self):
         # 3 * 3 * 3641 = 32769 bits. With every sign +1, the centre output
         # of a 3x3 input sums all of them, one past int16's range.
         from bisrnet.tensor import conv2d_ref
@@ -379,7 +396,7 @@ class TestNormalModules:
         x = rng.random((1, 3641, 3, 3)).astype(np.float32) + 0.01
         conv.forward(x)
         raw = conv._cache[4]
-        assert raw.dtype == np.int32
+        assert raw.dtype == np.float32
         assert raw[0, 0, 1, 1] == 32769
         want = conv2d_ref(sign(x), sign(conv.weight.value), stride=1, pad=1, pad_value=-1.0)
         np.testing.assert_array_equal(raw, want)

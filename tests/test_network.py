@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bisrnet.errors import ConfigError, DimensionError, StateError
+from bisrnet.errors import ArgumentError, ConfigError, DimensionError, StateError
 from bisrnet.network import (
     OPS_DIVISOR,
     PARAMS_DIVISOR,
@@ -97,6 +97,13 @@ class TestBuildAndForward:
             net.forward(np.zeros((1, 3, 16, 16), np.float32), np.zeros((1, 3, 16, 16), np.float32))
         with pytest.raises(DimensionError):
             net.forward(np.zeros((1, 4, 18, 18), np.float32), np.zeros((1, 4, 18, 18), np.float32))
+
+    def test_input_of_another_dtype_rejected(self):
+        net = build(tiny_cfg(), seed=0)
+        h_in, m_in = tiny_inputs(np.random.default_rng(9), dtype=np.float64)
+        message = "^embedding.proj: input dtype float64 != weight dtype float32$"
+        with pytest.raises(ArgumentError, match=message):
+            net.forward(h_in, m_in)
 
     @pytest.mark.parametrize("h,w", [(10, 10), (16, 18), (0, 16)])
     def test_count_rejects_the_sizes_forward_rejects(self, h, w):

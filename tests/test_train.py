@@ -276,6 +276,23 @@ class TestCheckpoint:
         with pytest.raises(StateError):
             load_checkpoint(other, tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("fault", ["missing", "size"])
+    def test_failed_load_changes_no_parameter(self, tmp_path, fault):
+        # The fault is in the last parameter, so every other one is read
+        # and checked before the load fails.
+        save_checkpoint(tiny_net(seed=5), tmp_path / "ckpt")
+        index = tmp_path / "ckpt" / "index.txt"
+        lines = index.read_text().splitlines()
+        name, _, role, fname = lines[-1].split("\t")
+        lines[-1:] = [] if fault == "missing" else [f"{name}\t1\t{role}\t{fname}"]
+        index.write_text("\n".join(lines) + "\n")
+        net = tiny_net(seed=6)
+        before = [p.value.copy() for p in net.params()]
+        with pytest.raises(StateError, match=name):
+            load_checkpoint(net, tmp_path / "ckpt")
+        for p, value in zip(net.params(), before):
+            np.testing.assert_array_equal(p.value, value)
+
     def test_good_save_layout(self, tmp_path):
         net = tiny_net(seed=5)
         params = net.params()
