@@ -58,31 +58,52 @@ def save_checkpoint(net, directory):
     os.replace(tmp_path, index_path)
 
 
+def _parse_shape(field, where):
+    """The logical shape an index line records: () for "scalar", else its
+    comma-separated sizes."""
+    if field == "scalar":
+        return ()
+    sizes = field.split(",")
+    if not all(s.isascii() and s.isdigit() for s in sizes):
+        raise StateError(
+            f"{where}: shape {field!r} is neither 'scalar' nor comma-separated sizes"
+        )
+    return tuple(int(s) for s in sizes)
+
+
 def load_checkpoint(net, directory):
     """Fill an already-built network's parameters from a checkpoint.
 
     Every parameter's name, size and shape is checked, and every file read,
     before the first parameter is assigned, so a load that raises leaves
-    the network as it was.
+    the network as it was. An index line without four tab-separated
+    fields, with a shape that is neither "scalar" nor comma-separated
+    sizes, or naming a parameter listed before raises StateError naming
+    the index file and the line.
     """
     index_path = os.path.join(directory, INDEX_NAME)
     if not os.path.exists(index_path):
         raise IOError(f"{index_path}: checkpoint index not found")
     entries = {}
     with open(index_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            name, shape, _role_, fname = line.split("\t")
-            entries[name] = (shape, fname)
+            where = f"{index_path}, line {lineno}"
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise StateError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+            name, shape_str, _role_, fname = fields
+            if name in entries:
+                raise StateError(f"{where}: parameter {name} is listed twice")
+            entries[name] = (_parse_shape(shape_str, where), fname)
     loaded = []
     for p in net.params():
         if p.name not in entries:
             raise StateError(f"checkpoint is missing parameter {p.name}")
-        shape_str, fname = entries.pop(p.name)
+        shape, fname = entries.pop(p.name)
         data = read_hst(os.path.join(directory, fname)).reshape(-1)
-        shape = () if shape_str == "scalar" else tuple(int(s) for s in shape_str.split(","))
         if int(np.prod(shape, dtype=np.int64)) != data.size:
             raise StateError(
                 f"{p.name}: checkpoint holds {data.size} values, parameter needs shape {shape}"

@@ -72,7 +72,9 @@ A conv layer computes in its weights' dtype. :class:`Conv2dFP` and both
 1-bit layers raise ArgumentError, naming the layer and both dtypes, for an
 input of any other dtype, so a float32 network fed float64 inputs stops at
 its first layer. Every float array of a conv layer's forward, its output
-included, then has that one dtype.
+included, then has that one dtype. Their backwards raise the same way for
+a ``grad_out`` of another dtype, before the cache is consumed, so the
+gradients they return and accumulate keep that dtype too.
 
 Three building blocks make up the paper's modules:
 
@@ -306,11 +308,12 @@ class _Conv(Layer):
     def params(self):
         return [self.weight]
 
-    def _check_dtype(self, x):
-        """Raises ArgumentError unless ``x`` has the weight's dtype."""
+    def _check_dtype(self, x, what="input"):
+        """Raises ArgumentError unless ``x``, the layer's ``what``, has the
+        weight's dtype."""
         dt = self.weight.value.dtype
         if x.dtype != dt:
-            raise ArgumentError(f"{self.name}: input dtype {x.dtype} != weight dtype {dt}")
+            raise ArgumentError(f"{self.name}: {what} dtype {x.dtype} != weight dtype {dt}")
 
     def count_macs(self, h, w):
         ho = (h + 2 * self.pad - self.k) // self.stride + 1
@@ -423,6 +426,7 @@ class VanillaBinConv(_Conv):
         return np.asarray(scale, x.dtype) * raw
 
     def backward(self, grad_out):
+        self._check_dtype(grad_out, "grad_out")
         return self._binconv_backward(self._pop_cache(), grad_out)
 
 
@@ -511,6 +515,7 @@ class BiSRConv(VanillaBinConv):
         return self._residual_rprelu(x, np.asarray(scale, x.dtype), raw)
 
     def backward(self, grad_out):
+        self._check_dtype(grad_out, "grad_out")
         cache = self._pop_cache()
         x, _, _, scale, raw, _ = cache
         if grad_out.shape != x.shape:
@@ -554,6 +559,7 @@ class Conv2dFP(_Conv):
         return y
 
     def backward(self, grad_out):
+        self._check_dtype(grad_out, "grad_out")
         gx, gw = conv2d_vjp(self._pop_cache(), self.weight.value, grad_out,
                             self.stride, self.pad, 0.0)
         self.weight.grad += gw

@@ -76,16 +76,22 @@ def adam_step(params, state, lr):
 
 def psnr(pred, target):
     """Peak SNR in dB for a peak of 1, averaged over bands for 3-D inputs,
-    capped at 100."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    capped at 100.
+
+    Each band is cast to float64 on its own, inside the subtraction, so no
+    float64 copy of the whole cube is made; the cast is exact, so the
+    result is that of the cube cast whole.
+    """
+    pred = np.asarray(pred)
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
     if pred.ndim == 2:
         pred, target = pred[None], target[None]
     vals = []
     for p, t in zip(pred, target):
-        mse = float(np.mean((p - t) ** 2))
+        d = np.subtract(p, t, dtype=np.float64)
+        mse = float(np.mean(d * d))
         if mse < PSNR_MSE_FLOOR:
             vals.append(PSNR_CAP_DB)
         else:
@@ -99,45 +105,101 @@ def _gaussian_window(size, sigma):
     return g / g.sum()
 
 
+def _toeplitz_band(kernel, tile):
+    """The (tile + k - 1, tile) matrix whose column j holds the k-tap kernel
+    in rows j..j+k-1. For v with tile + k - 1 entries along an axis, ``v @
+    band`` (last axis) or ``band.T @ v`` (first axis) gives ``tile``
+    consecutive outputs of v's valid correlation with the kernel."""
+    band = np.zeros((tile + kernel.size - 1, tile))
+    for j in range(tile):
+        band[j:j + kernel.size, j] = kernel
+    return band
+
+
 _SSIM_WINDOW = _gaussian_window(11, 1.5)
+_SSIM_TILE = 8
+_SSIM_BAND = _toeplitz_band(_SSIM_WINDOW, _SSIM_TILE)
 
 
-def _filter_valid(img, kernel):
-    """Separable 'valid' correlation with a 1-D kernel along both axes."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    rows = sliding_window_view(img, kernel.size, axis=0) @ kernel
-    return sliding_window_view(rows, kernel.size, axis=1) @ kernel
+def _band_tiles(n_out):
+    """(output slice, input slice, band block) for each tile of at most
+    _SSIM_TILE of the n_out valid outputs along one axis. A shorter last
+    tile of m outputs takes the band's top-left (m + k - 1, m) block."""
+    for i in range(0, n_out, _SSIM_TILE):
+        m = min(_SSIM_TILE, n_out - i)
+        block = _SSIM_BAND[: m + _SSIM_WINDOW.size - 1, :m]
+        yield slice(i, i + m), slice(i, i + block.shape[0]), block
 
 
 def ssim(pred, target):
     """Single-scale SSIM for a peak of 1, with an 11x11 Gaussian window
-    (sigma 1.5).
+    (sigma 1.5) over valid positions only.
 
     Band images below the window size are rejected. 3-D inputs are scored
     per band and averaged.
+
+    One band at a time is cast into a reused (h, 5, w) float64 buffer of
+    its five maps p, t, p*p, t*t and p*t. The separable Gaussian filter
+    then runs as GEMMs on tiles of _SSIM_TILE outputs against one Toeplitz
+    band of the window: down the rows on all five maps at once, then along
+    the columns. The SSIM map is formed in place in three reused (ho, wo)
+    buffers. Memory therefore does not grow with the band count, and no
+    float64 copy of the cube is made; float32 inputs score exactly as
+    their float64 casts.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred = np.asarray(pred)
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
     if pred.ndim == 2:
         pred, target = pred[None], target[None]
-    k = _SSIM_WINDOW
-    if min(pred.shape[-2:]) < k.size:
-        raise DimensionError(f"images must be at least {k.size}x{k.size} for SSIM")
+    if pred.ndim != 3:
+        raise DimensionError(f"SSIM takes 2-D or 3-D images, got shape {pred.shape}")
+    n = _SSIM_WINDOW.size
+    h, w = pred.shape[1:]
+    if min(h, w) < n:
+        raise DimensionError(f"images must be at least {n}x{n} for SSIM")
+    ho, wo = h - n + 1, w - n + 1
+    maps = np.empty((h, 5, w))
+    rows = np.empty((ho, 5, w))  # the maps filtered down the rows
+    moments = np.empty((ho, 5, wo))  # and along the columns: local means
+    row_in, row_out = maps.reshape(h, 5 * w), rows.reshape(ho, 5 * w)
+    col_in, col_out = rows.reshape(ho * 5, w), moments.reshape(ho * 5, wo)
+    mu_p, mu_t, e_pp, e_tt, e_pt = (moments[:, i] for i in range(5))
+    a, b, c = (np.empty((ho, wo)) for _ in range(3))
     c1 = 0.01**2
     c2 = 0.03**2
     vals = []
     for p, t in zip(pred, target):
-        mu_p = _filter_valid(p, k)
-        mu_t = _filter_valid(t, k)
-        var_p = _filter_valid(p * p, k) - mu_p * mu_p
-        var_t = _filter_valid(t * t, k) - mu_t * mu_t
-        cov = _filter_valid(p * t, k) - mu_p * mu_t
-        num = (2 * mu_p * mu_t + c1) * (2 * cov + c2)
-        den = (mu_p * mu_p + mu_t * mu_t + c1) * (var_p + var_t + c2)
-        vals.append(float(np.mean(num / den)))
+        maps[:, 0] = p
+        maps[:, 1] = t
+        np.multiply(maps[:, 0], maps[:, 0], out=maps[:, 2])
+        np.multiply(maps[:, 1], maps[:, 1], out=maps[:, 3])
+        np.multiply(maps[:, 0], maps[:, 1], out=maps[:, 4])
+        for out, win, block in _band_tiles(ho):
+            np.matmul(block.T, row_in[win], out=row_out[out])
+        for out, win, block in _band_tiles(wo):
+            np.matmul(col_in[:, win], block, out=col_out[:, out])
+        # num = (2 mu_p mu_t + c1) (2 cov + c2), into a
+        np.multiply(mu_p, mu_t, out=a)
+        np.subtract(e_pt, a, out=b)
+        b *= 2
+        b += c2
+        a *= 2
+        a += c1
+        a *= b
+        # den = (mu_p^2 + mu_t^2 + c1) (var_p + var_t + c2), into b
+        np.multiply(mu_p, mu_p, out=b)
+        np.multiply(mu_t, mu_t, out=c)
+        e_pp -= b
+        e_tt -= c
+        b += c
+        b += c1
+        e_pp += e_tt
+        e_pp += c2
+        b *= e_pp
+        a /= b
+        vals.append(float(np.mean(a)))
     return float(np.mean(vals))
 
 

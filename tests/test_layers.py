@@ -198,6 +198,23 @@ def test_input_of_another_dtype_rejected(build, layer_dtype, x_dtype, surrogate)
     assert layer._cache is None
 
 
+@pytest.mark.parametrize("build", [
+    lambda rng, dt: Conv2dFP(4, 4, 3, 1, 1, rng, dt, name="fp"),
+    lambda rng, dt: VanillaBinConv(4, 4, 3, 1, 1, rng, dt, name="bin"),
+    lambda rng, dt: BiSRConv(4, rng, dt, name="bisr"),
+], ids=["Conv2dFP", "VanillaBinConv", "BiSRConv"])
+@pytest.mark.parametrize("layer_dtype,g_dtype", [("float32", "float64"), ("float64", "float32")])
+def test_grad_out_of_another_dtype_rejected(build, layer_dtype, g_dtype):
+    # The backward keeps the forward's dtype rule, and raises before it
+    # consumes the cache, so a backward with the right dtype still runs.
+    layer = build(np.random.default_rng(9), np.dtype(layer_dtype))
+    y = layer.forward(np.ones((1, 4, 6, 6), layer_dtype))
+    message = f"^{layer.name}: grad_out dtype {g_dtype} != weight dtype {layer_dtype}$"
+    with pytest.raises(ArgumentError, match=message):
+        layer.backward(np.ones(y.shape, g_dtype))
+    assert layer.backward(np.ones_like(y)).dtype == np.dtype(layer_dtype)
+
+
 class TestConvBlock:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(7)

@@ -47,6 +47,8 @@ BENCHMARK_SIGNATURES = [
     (network.build, [("cfg", REQUIRED), ("seed", 0), ("dtype", np.float32)]),
     (network.Network.part_layers, [("self", REQUIRED), ("part", REQUIRED)]),
     (train.evaluate, [("net", REQUIRED), ("scenes", REQUIRED), ("sys", REQUIRED)]),
+    (train.ssim, [("pred", REQUIRED), ("target", REQUIRED)]),
+    (train.psnr, [("pred", REQUIRED), ("target", REQUIRED)]),
 ]
 
 # The TrainConfig fields the benchmark sets, by keyword and by assignment.

@@ -137,33 +137,106 @@ class TestMetrics:
         )
         assert got == pytest.approx(want, abs=1e-6)
 
-    def test_ssim_direct_recomputation(self):
-        # Unvectorized per-window recomputation of the SSIM map.
-        rng = np.random.default_rng(4)
-        a = rng.random((13, 14))
-        b = rng.random((13, 14))
-        got = ssim(a, b)
+    def test_psnr_casts_band_by_band_with_the_whole_cube_bytes(self):
+        # float -> float64 is exact, so casting each band alone gives the
+        # bytes of the formula that casts the whole cube first.
+        def whole_cube_psnr(pred, target):
+            pred = np.asarray(pred, dtype=np.float64)
+            target = np.asarray(target, dtype=np.float64)
+            vals = []
+            for p, t in zip(pred, target):
+                mse = float(np.mean((p - t) ** 2))
+                vals.append(100.0 if mse < 1e-10 else min(10.0 * math.log10(1.0 / mse), 100.0))
+            return float(np.mean(vals))
 
+        rng = np.random.default_rng(5)
+        for dt in (np.float32, np.float64):
+            a = rng.random((5, 33, 21)).astype(dt)
+            b = rng.random((5, 33, 21)).astype(dt)
+            channel_last = np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+            assert psnr(a, b) == whole_cube_psnr(a, b)
+            assert psnr(channel_last, b) == whole_cube_psnr(channel_last, b)
+
+    @staticmethod
+    def per_window_ssim(a, b):
+        """Unvectorized per-window recomputation of the SSIM map, averaged
+        over bands."""
         x = np.arange(11) - 5.0
         g1 = np.exp(-(x * x) / (2 * 1.5 * 1.5))
         g1 /= g1.sum()
         win = np.outer(g1, g1)
         c1, c2 = 0.01**2, 0.03**2
-        vals = []
-        for r in range(13 - 10):
-            for c in range(14 - 10):
-                pa = a[r : r + 11, c : c + 11]
-                pb = b[r : r + 11, c : c + 11]
-                mu_a = (pa * win).sum()
-                mu_b = (pb * win).sum()
-                va = (pa * pa * win).sum() - mu_a**2
-                vb = (pb * pb * win).sum() - mu_b**2
-                cov = (pa * pb * win).sum() - mu_a * mu_b
-                vals.append(
-                    ((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-                    / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))
-                )
-        assert got == pytest.approx(float(np.mean(vals)), abs=1e-6)
+        if a.ndim == 2:
+            a, b = a[None], b[None]
+        bands = []
+        for pa_band, pb_band in zip(a, b):
+            vals = []
+            h, w = pa_band.shape
+            for r in range(h - 10):
+                for c in range(w - 10):
+                    pa = pa_band[r : r + 11, c : c + 11]
+                    pb = pb_band[r : r + 11, c : c + 11]
+                    mu_a = (pa * win).sum()
+                    mu_b = (pb * win).sum()
+                    va = (pa * pa * win).sum() - mu_a**2
+                    vb = (pb * pb * win).sum() - mu_b**2
+                    cov = (pa * pb * win).sum() - mu_a * mu_b
+                    vals.append(
+                        ((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                        / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))
+                    )
+            bands.append(np.mean(vals))
+        return float(np.mean(bands))
+
+    def test_ssim_direct_recomputation(self):
+        # 13x14 and 19x30 end in a partial filter tile along each axis;
+        # 11x11 has one output, and 3x27x20 has 17x10 outputs per band.
+        rng = np.random.default_rng(4)
+        for shape in [(13, 14), (11, 11), (19, 30), (3, 27, 20)]:
+            a = rng.random(shape)
+            b = rng.random(shape)
+            assert ssim(a, b) == pytest.approx(self.per_window_ssim(a, b), abs=1e-12), shape
+
+    def test_ssim_of_float32_is_that_of_its_float64_cast(self):
+        rng = np.random.default_rng(6)
+        a = rng.random((3, 40, 29), dtype=np.float32)
+        b = rng.random((3, 40, 29), dtype=np.float32)
+        assert ssim(a, b) == ssim(a.astype(np.float64), b.astype(np.float64))
+
+    def test_ssim_matches_the_per_map_filter(self):
+        # The earlier implementation: five separable 'valid' filters per
+        # band through sliding windows, on float64 copies of the cube.
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        def filter_valid(img, k):
+            rows = sliding_window_view(img, k.size, axis=0) @ k
+            return sliding_window_view(rows, k.size, axis=1) @ k
+
+        def reference_ssim(pred, target):
+            x = np.arange(11) - 5.0
+            k = np.exp(-(x * x) / (2 * 1.5 * 1.5))
+            k /= k.sum()
+            c1, c2 = 0.01**2, 0.03**2
+            vals = []
+            for p, t in zip(pred.astype(np.float64), target.astype(np.float64)):
+                mu_p = filter_valid(p, k)
+                mu_t = filter_valid(t, k)
+                var_p = filter_valid(p * p, k) - mu_p * mu_p
+                var_t = filter_valid(t * t, k) - mu_t * mu_t
+                cov = filter_valid(p * t, k) - mu_p * mu_t
+                num = (2 * mu_p * mu_t + c1) * (2 * cov + c2)
+                den = (mu_p * mu_p + mu_t * mu_t + c1) * (var_p + var_t + c2)
+                vals.append(float(np.mean(num / den)))
+            return float(np.mean(vals))
+
+        rng = np.random.default_rng(7)
+        target = rng.random((4, 64, 64), dtype=np.float32)
+        pred = np.clip(target + 0.1 * rng.standard_normal(target.shape, np.float32), 0, 1)
+        assert ssim(pred, target) == pytest.approx(reference_ssim(pred, target), abs=1e-12)
+
+    def test_ssim_rejects_other_ranks(self):
+        with pytest.raises(DimensionError, match="2-D or 3-D"):
+            ssim(np.zeros((1, 2, 16, 16)), np.zeros((1, 2, 16, 16)))
 
     def test_too_small_for_ssim(self):
         with pytest.raises(DimensionError):
@@ -289,6 +362,31 @@ class TestCheckpoint:
         net = tiny_net(seed=6)
         before = [p.value.copy() for p in net.params()]
         with pytest.raises(StateError, match=name):
+            load_checkpoint(net, tmp_path / "ckpt")
+        for p, value in zip(net.params(), before):
+            np.testing.assert_array_equal(p.value, value)
+
+    @pytest.mark.parametrize("fault, line_no, message", [
+        ("tab", 4, "expected 4 tab-separated fields, got 3"),
+        ("shape", 2, "shape '8x8' is neither 'scalar' nor comma-separated sizes"),
+        ("twice", 3, "parameter .* is listed twice"),
+    ], ids=["tab", "shape", "twice"])
+    def test_malformed_index_line_rejected(self, tmp_path, fault, line_no, message):
+        save_checkpoint(tiny_net(seed=5), tmp_path / "ckpt")
+        index = tmp_path / "ckpt" / "index.txt"
+        lines = index.read_text().splitlines()
+        if fault == "tab":
+            lines[3] = lines[3].replace("\t", " ", 1)
+        elif fault == "shape":
+            name, _, role, fname = lines[1].split("\t")
+            lines[1] = f"{name}\t8x8\t{role}\t{fname}"
+        else:
+            lines[2] = lines[0]
+        index.write_text("\n".join(lines) + "\n")
+        net = tiny_net(seed=6)
+        before = [p.value.copy() for p in net.params()]
+        where = re.escape(f"{index}, line {line_no}: ")
+        with pytest.raises(StateError, match=f"^{where}{message}$"):
             load_checkpoint(net, tmp_path / "ckpt")
         for p, value in zip(net.params(), before):
             np.testing.assert_array_equal(p.value, value)
