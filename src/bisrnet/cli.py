@@ -159,11 +159,12 @@ def cmd_train(args):
 def cmd_eval(args):
     if bool(args.pred) != bool(args.target):
         raise ArgumentError("eval needs --pred and --target together, or neither")
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     if args.pred:
         pred = read_hst(args.pred)
         target = read_hst(args.target)
+        if pred.shape != target.shape:
+            raise ArgumentError(f"--pred shape {pred.shape} != --target shape {target.shape}")
         for i in range(pred.shape[0]):
             rows.append((f"scene{i}", psnr(pred[i], target[i]), ssim(pred[i], target[i])))
     else:
@@ -181,6 +182,7 @@ def cmd_eval(args):
         sys_ = cassi.CassiSystem(mask, step=args.step, n_bands=cfg.n_wavelengths)
         rows, _ = evaluate(net, scenes, sys_)
     avg = ("average", float(np.mean([r[1] for r in rows])), float(np.mean([r[2] for r in rows])))
+    os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
     write_csv(metrics_path, ["scene", "psnr_db", "ssim"], rows + [avg])
     write_manifest(args.out, args, [metrics_path])
@@ -241,6 +243,8 @@ def cmd_pack_bench(args):
         n, c, h, w = shape
     except ValueError as exc:
         raise ArgumentError(f"--shape must be n,c,h,w, got {args.shape!r}") from exc
+    if min(shape) < 1:
+        raise ArgumentError(f"--shape sizes must be at least 1, got {args.shape!r}")
     rng = np.random.default_rng(args.seed)
     dense = np.where(rng.random(shape) < 0.5, -1, 1).astype(np.float32)
     bt = pack(dense)

@@ -3,17 +3,22 @@
 Every layer follows the same small protocol:
 
     params()            ordered list of Param objects
-    forward(x, surrogate=False)
+    forward(x)
     backward(grad_out)  -> grad wrt the forward input; accumulates into
                            each Param.grad
     param_count()
     count_macs(h, w)    -> (conv multiply-accumulates, h_out, w_out)
 
-``surrogate=True`` replaces every sign() by its smooth straight-through
-surrogate, making the forward genuinely differentiable so that the analytic
-backward can be validated against finite differences. In normal
-(binarized) mode the same backward formulas act as the straight-through
-approximation.
+Inside ``with surrogate():`` every forward replaces each sign() by its
+smooth straight-through surrogate, making the forward genuinely
+differentiable so that the analytic backward can be validated against
+finite differences. In normal (binarized) mode the same backward formulas
+act as the straight-through approximation. ``VanillaBinConv._binconv``,
+which both 1-bit layers run, is the one reader of the switch: it reads it
+once per forward and records the choice in its cache, so a backward
+follows its own forward's choice whatever the switch reads when the
+backward runs. Within the package only ``Network.forward`` sets it, from
+its ``surrogate`` keyword.
 
 A layer owns its cache between a forward and the matching backward; the
 single-writer contract is: never interleave two forwards of one layer
@@ -74,7 +79,10 @@ input of any other dtype, so a float32 network fed float64 inputs stops at
 its first layer. Every float array of a conv layer's forward, its output
 included, then has that one dtype. Their backwards raise the same way for
 a ``grad_out`` of another dtype, before the cache is consumed, so the
-gradients they return and accumulate keep that dtype too.
+gradients they return and accumulate keep that dtype too. The conv
+layers, :class:`Pool2` and :class:`Up2` also raise DimensionError, naming
+the layer and both shapes, for a ``grad_out`` whose shape is not their
+output's, which numpy would otherwise broadcast.
 
 Three building blocks make up the paper's modules:
 
@@ -122,23 +130,38 @@ LEAKY_SLOPE = 0.2
 ALPHA_FLOOR = 1e-3
 # Whether a forward keeps its backward cache; :func:`inference` clears it.
 _keep_caches = contextvars.ContextVar("keep_caches", default=True)
+# Whether the 1-bit forwards run their surrogates; :func:`surrogate` sets it.
+_use_surrogate = contextvars.ContextVar("use_surrogate", default=False)
 
 
 @contextlib.contextmanager
+def _switch(var, value):
+    """Set ``var`` to ``value`` for the body of the with statement. The
+    previous value comes back on exit, also on an exception, so the
+    context nests. The setting belongs to the calling thread's context:
+    other threads keep theirs."""
+    token = var.set(value)
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
 def inference():
     """Run the forwards inside without backward caches.
 
     Every layer's cache write stores None instead, so a forward holds
     nothing for a backward that will not come, and a backward afterwards
-    raises StateError. The previous setting comes back on exit, also on an
-    exception, so the context nests. The setting belongs to the calling
-    thread's context: other threads keep their caches.
+    raises StateError. It nests and stays in the calling thread.
     """
-    token = _keep_caches.set(False)
-    try:
-        yield
-    finally:
-        _keep_caches.reset(token)
+    return _switch(_keep_caches, False)
+
+
+def surrogate(enabled=True):
+    """Run the forwards inside with every sign() replaced by its smooth
+    surrogate, or by sign() again with ``enabled=False``. It nests and
+    stays in the calling thread."""
+    return _switch(_use_surrogate, enabled)
 
 
 class Param:
@@ -293,6 +316,17 @@ class Layer:
         self._save_cache(None)
         return cache
 
+    def _check_grad_shape(self, grad_out, x_shape, channels):
+        """Raises DimensionError unless ``grad_out`` has the shape of the
+        output for an input of ``x_shape``: ``channels`` channels at the
+        size that ``count_macs`` gives."""
+        n, _, h, w = x_shape
+        _, ho, wo = self.count_macs(h, w)
+        if grad_out.shape != (n, channels, ho, wo):
+            raise DimensionError(
+                f"{self.name}: grad shape {grad_out.shape} != output {(n, channels, ho, wo)}"
+            )
+
 
 class _Conv(Layer):
     """Weight and geometry shared by the convolution layers."""
@@ -374,14 +408,15 @@ class VanillaBinConv(_Conv):
             return sign(xr), w_sign
         return ste_value(xr, self.ste, alpha), ste_value(self.weight.value, "clip")
 
-    def _binconv(self, x, surrogate):
+    def _binconv(self, x):
         """Convolves the layer input ``x``, writes the cache and returns
         (scale, raw): scale = mean|w| and raw = conv(sign(x_r), sign(w))
-        unscaled, with both signs replaced by their surrogates when
-        ``surrogate``. On the sign path the raw sums are integers, kept as
-        int16 where they fit and in x's float dtype beyond, and sign(x_r)
+        unscaled, with both signs replaced by their surrogates inside
+        :func:`surrogate`. On the sign path the raw sums are integers, kept
+        as int16 where they fit and in x's float dtype beyond, and sign(x_r)
         goes straight into bits."""
         self._check_dtype(x)
+        surrogate = _use_surrogate.get()
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         scale, w_sign = binarize_weights(self.weight.value)
         if surrogate:
@@ -421,13 +456,15 @@ class VanillaBinConv(_Conv):
         self.alpha.grad += (gxb * xr * d).sum()
         return gxb * (alpha * d)
 
-    def forward(self, x, surrogate=False):
-        scale, raw = self._binconv(x, surrogate)
+    def forward(self, x):
+        scale, raw = self._binconv(x)
         return np.asarray(scale, x.dtype) * raw
 
     def backward(self, grad_out):
         self._check_dtype(grad_out, "grad_out")
-        return self._binconv_backward(self._pop_cache(), grad_out)
+        cache = self._pop_cache()
+        self._check_grad_shape(grad_out, cache[0].shape, self.c_out)
+        return self._binconv_backward(cache, grad_out)
 
 
 class BiSRConv(VanillaBinConv):
@@ -506,22 +543,19 @@ class BiSRConv(VanillaBinConv):
             np.add(xb, yb, out=ov[blk])
         return out
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         if x.shape[1] != self.channels:
             raise DimensionError(
                 f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
             )
-        scale, raw = self._binconv(x, surrogate)
+        scale, raw = self._binconv(x)
         return self._residual_rprelu(x, np.asarray(scale, x.dtype), raw)
 
     def backward(self, grad_out):
         self._check_dtype(grad_out, "grad_out")
         cache = self._pop_cache()
         x, _, _, scale, raw, _ = cache
-        if grad_out.shape != x.shape:
-            raise DimensionError(
-                f"{self.name}: grad shape {grad_out.shape} != activation {x.shape}"
-            )
+        self._check_grad_shape(grad_out, x.shape, self.channels)
         # RPReLU backward, its mask recomputed from the pre-activation y.
         y = np.asarray(scale, x.dtype) * raw
         g = self.gamma.value[None, :, None, None]
@@ -552,7 +586,7 @@ class Conv2dFP(_Conv):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         self._check_dtype(x)
         y = conv2d_forward(x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0)
         self._save_cache(x)
@@ -560,8 +594,9 @@ class Conv2dFP(_Conv):
 
     def backward(self, grad_out):
         self._check_dtype(grad_out, "grad_out")
-        gx, gw = conv2d_vjp(self._pop_cache(), self.weight.value, grad_out,
-                            self.stride, self.pad, 0.0)
+        x = self._pop_cache()
+        self._check_grad_shape(grad_out, x.shape, self.c_out)
+        gx, gw = conv2d_vjp(x, self.weight.value, grad_out, self.stride, self.pad, 0.0)
         self.weight.grad += gw
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
         return gx
@@ -577,7 +612,7 @@ class ConvBlock(Layer):
         self.conv2 = Conv2dFP(channels, channels, 3, 1, 1, rng, dtype, f"{name}.conv2")
         self.layers = [self.conv1, self.conv2]
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         y1 = self.conv1.forward(x)
         slope = np.asarray(LEAKY_SLOPE, x.dtype)
         # conv2 caches a as its input; this cache is the same array. With a
@@ -600,9 +635,9 @@ class Chain(Layer):
         self.layers = list(layers)
         self.name = name
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         for layer in self.layers:
-            x = layer.forward(x, surrogate=surrogate)
+            x = layer.forward(x)
         return x
 
     def backward(self, grad_out):
@@ -620,12 +655,14 @@ class Pool2(Layer):
     def count_macs(self, h, w):
         return 0, h // 2, w // 2
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         self._save_cache(x.shape)
         return avg_pool2x2(x)
 
     def backward(self, grad_out):
-        return avg_pool2x2_backward(grad_out, self._pop_cache())
+        x_shape = self._pop_cache()
+        self._check_grad_shape(grad_out, x_shape, x_shape[1])
+        return avg_pool2x2_backward(grad_out, x_shape)
 
 
 class Up2(Layer):
@@ -637,12 +674,14 @@ class Up2(Layer):
     def count_macs(self, h, w):
         return 0, 2 * h, 2 * w
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         self._save_cache(x.shape)
         return bilinear_up2(x)
 
     def backward(self, grad_out):
-        return bilinear_up2_backward(grad_out, self._pop_cache())
+        x_shape = self._pop_cache()
+        self._check_grad_shape(grad_out, x_shape, x_shape[1])
+        return bilinear_up2_backward(grad_out, x_shape)
 
 
 class TwoBranch(Layer):
@@ -664,9 +703,9 @@ class BinFusionUp(TwoBranch):
         super().__init__(channels, rng, dtype, ste, redistribute, name)
         self.channels = channels
 
-    def forward(self, x, surrogate=False):
-        a = self.branch_a.forward(x, surrogate=surrogate)
-        return concat_channels(a, self.branch_b.forward(x, surrogate=surrogate))
+    def forward(self, x):
+        a = self.branch_a.forward(x)
+        return concat_channels(a, self.branch_b.forward(x))
 
     def backward(self, grad_out):
         ga, gb = split_channels(grad_out, self.channels)
@@ -688,15 +727,12 @@ class BinFusionDown(TwoBranch):
         self.c_in = c_in
         self.half = c_in // 2
 
-    def forward(self, x, surrogate=False):
+    def forward(self, x):
         if x.shape[1] != self.c_in:
             raise DimensionError(f"{self.name}: expected {self.c_in} channels, got {x.shape[1]}")
         a, b = split_channels(x, self.half)
         half = np.asarray(0.5, x.dtype)
-        return half * (
-            self.branch_a.forward(a, surrogate=surrogate)
-            + self.branch_b.forward(b, surrogate=surrogate)
-        )
+        return half * (self.branch_a.forward(a) + self.branch_b.forward(b))
 
     def backward(self, grad_out):
         g = grad_out * np.asarray(0.5, grad_out.dtype)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigError, DimensionError
 from .layers import (
     BinDownsample,
@@ -245,6 +246,15 @@ class Network:
             p.zero_grad()
 
     def forward(self, h_shifted, m_shifted, surrogate=False):
+        """The reconstruction from (n, n_wavelengths, h, w) shifted data and
+        mask inputs.
+
+        ``surrogate=True`` replaces every sign() of the 1-bit parts by its
+        smooth surrogate, so that finite differences can check the
+        backward; the default keeps sign(). The keyword decides for this
+        forward alone, also inside an enclosing ``layers.surrogate()``,
+        whose setting comes back afterwards.
+        """
         h_shifted = np.asarray(h_shifted)
         m_shifted = np.asarray(m_shifted)
         NL = self.cfg.n_wavelengths
@@ -258,27 +268,26 @@ class Network:
             )
         _check_spatial(*h_shifted.shape[2:])
 
-        xs = self._parts["embedding"][0].forward(concat_channels(h_shifted, m_shifted),
-                                                 surrogate=surrogate)
-        xd = self._level_forward(self._levels, xs, surrogate)
-        return self._parts["mapping"][0].forward(xs + xd, surrogate=surrogate)
+        with layers.surrogate(surrogate):
+            xs = self._parts["embedding"][0].forward(concat_channels(h_shifted, m_shifted))
+            xd = self._level_forward(self._levels, xs)
+            return self._parts["mapping"][0].forward(xs + xd)
 
     def backward(self, grad_out):
         gsum = self._parts["mapping"][0].backward(grad_out)  # grad wrt xs + xd
         gxs = self._level_backward(self._levels, gsum) + gsum
         return split_channels(self._parts["embedding"][0].backward(gxs), self.cfg.n_wavelengths)
 
-    def _level_forward(self, levels, x, surrogate):
+    def _level_forward(self, levels, x):
         """Runs the outermost of ``levels`` around the inner ones; the
         bottleneck sits inside the innermost."""
         if not levels:
-            return self._parts["bottleneck"][0].forward(x, surrogate=surrogate)
+            return self._parts["bottleneck"][0].forward(x)
         enc, down, up, fuse, dec, _ = levels[0]
-        skip = enc.forward(x, surrogate=surrogate)
-        inner = self._level_forward(levels[1:], down.forward(skip, surrogate=surrogate), surrogate)
-        u = up.forward(inner, surrogate=surrogate)
-        return dec.forward(fuse.forward(concat_channels(u, skip), surrogate=surrogate),
-                           surrogate=surrogate)
+        skip = enc.forward(x)
+        inner = self._level_forward(levels[1:], down.forward(skip))
+        u = up.forward(inner)
+        return dec.forward(fuse.forward(concat_channels(u, skip)))
 
     def _level_backward(self, levels, grad):
         """Backward of :meth:`_level_forward` for the same ``levels``."""

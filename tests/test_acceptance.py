@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from bisrnet import cassi
+from bisrnet import cassi, layers
 from bisrnet.binarize import approx_error_area, approx_error_area_numeric
 from bisrnet.bitpack import bit_conv2d, pack
 from bisrnet.layers import (
@@ -79,13 +79,16 @@ def test_criterion_3_gradient_fidelity():
     def check(build_layer, shape, n_coords=4, rtol=1e-4, label=""):
         layer = build_layer(rng)
         x = rng.standard_normal(shape)
-        out = layer.forward(x, surrogate=True)
+        with layers.surrogate():
+            out = layer.forward(x)
         probe = rng.standard_normal(out.shape)
 
         def loss():
-            return float((layer.forward(x, surrogate=True) * probe).sum())
+            with layers.surrogate():
+                return float((layer.forward(x) * probe).sum())
 
-        layer.forward(x, surrogate=True)
+        with layers.surrogate():
+            layer.forward(x)
         gin = layer.backward(probe)
         targets = [(p.value, p.grad, p.name) for p in layer.params()]
         targets.append((x, gin, f"{label}.input"))

@@ -133,6 +133,13 @@ class TestPackBench:
     def test_reduction_ratio_full_word(self, capsys):
         assert self.ratio(capsys, "1,64,32,32") == 32.0
 
+    @pytest.mark.parametrize("shape", ["0,28,1,1", "1,-2,1,1"], ids=["zero", "negative"])
+    def test_size_below_one_fails(self, tmp_path, capsys, shape):
+        out = tmp_path / "bench"
+        assert run_cli("pack-bench", "--shape", shape, "--out", str(out)) == 1
+        assert f"--shape sizes must be at least 1, got '{shape}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_short_train_writes_history_and_checkpoint(self, tmp_path):
@@ -197,6 +204,20 @@ class TestTrainEval:
         assert run_cli("eval", given, str(path), "--out", str(out)) == 1
         assert "--pred and --target" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_pred,n_target", [(2, 3), (3, 2)])
+    def test_eval_scene_count_mismatch_fails(self, tmp_path, capsys, n_pred, n_target):
+        rng = np.random.default_rng(1)
+        paths = []
+        for name, n in (("pred", n_pred), ("target", n_target)):
+            paths.append(tmp_path / f"{name}.hst")
+            write_hst(paths[-1], rng.random((n, 4, 8, 8)).astype(np.float32))
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--pred", str(paths[0]), "--target", str(paths[1]),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"--pred shape ({n_pred}, 4, 8, 8) != --target shape ({n_target}, 4, 8, 8)" in err
+        assert not (out / "metrics.csv").exists()
 
     def test_eval_without_scenes_fails(self, tmp_path, capsys):
         out = tmp_path / "eval"

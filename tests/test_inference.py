@@ -1,4 +1,4 @@
-"""Forwards without backward caches: ``layers.inference()`` and its one writer.
+"""The forward switches: ``layers.inference()`` and ``layers.surrogate()``.
 
 Inside ``layers.inference()`` every cache write stores None, so an
 evaluation forward holds nothing for a backward. These tests check that
@@ -7,9 +7,17 @@ little more than its output, makes a later backward fail loudly, and that
 ``train.evaluate`` runs under it. A static check keeps ``Layer._save_cache``
 the only code in the package that assigns ``_cache``, so a layer added
 later cannot write a cache that the switch does not see.
+
+Inside ``layers.surrogate()`` the 1-bit forwards replace sign() by its
+surrogate. ``Network.forward`` sets it from its keyword, whatever encloses
+the call, and static checks keep every layer's forward taking only its
+input and the switch read and set in one place each.
+
+Both switches restore their setting on exit and stay in the calling thread.
 """
 
 import ast
+import inspect
 import pathlib
 import threading
 import tracemalloc
@@ -111,33 +119,67 @@ def test_backward_after_cache_free_forward_raises(name, trained_first):
         layer.backward(np.ones_like(y))
 
 
-def keeps_cache():
+def drops_cache():
     layer = layers.Conv2dFP(2, 2, 1, rng=np.random.default_rng(330))
     layer.forward(np.ones((1, 2, 2, 2), np.float32))
-    return layer._cache is not None
+    return layer._cache is None
 
 
-def test_switch_is_restored_after_an_exception_and_nests():
-    assert keeps_cache()
+def uses_surrogate():
+    """Whether a 1-bit forward ran its surrogate, as its cache records."""
+    layer = layers.VanillaBinConv(2, 2, 1, 1, 0, np.random.default_rng(331))
+    layer.forward(np.ones((1, 2, 2, 2), np.float32))
+    return layer._cache[1]
+
+
+# Each switch with a probe that tells whether it is on.
+SWITCHES = {"inference": (layers.inference, drops_cache),
+            "surrogate": (layers.surrogate, uses_surrogate)}
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+def test_switch_is_restored_after_an_exception_and_nests(switch):
+    enter, is_on = SWITCHES[switch]
+    assert not is_on()
     with pytest.raises(RuntimeError):
-        with layers.inference():
+        with enter():
             raise RuntimeError("inside")
-    assert keeps_cache()
-    with layers.inference():
-        with layers.inference():
-            assert not keeps_cache()
-        assert not keeps_cache()
-    assert keeps_cache()
+    assert not is_on()
+    with enter():
+        with enter():
+            assert is_on()
+        assert is_on()
+    assert not is_on()
 
 
-def test_switch_belongs_to_the_calling_thread():
+@pytest.mark.parametrize("switch", SWITCHES)
+def test_switch_belongs_to_the_calling_thread(switch):
+    enter, is_on = SWITCHES[switch]
     seen = []
-    with layers.inference():
-        worker = threading.Thread(target=lambda: seen.append(keeps_cache()))
+    with enter():
+        worker = threading.Thread(target=lambda: seen.append(is_on()))
         worker.start()
         worker.join(timeout=60)
-        assert not keeps_cache()
-    assert not worker.is_alive() and seen == [True]
+        assert is_on()
+    assert not worker.is_alive() and seen == [False]
+
+
+def test_network_keyword_decides_inside_the_surrogate_switch():
+    net = build(NetworkConfig.bisrnet(base_channels=4, n_wavelengths=8), seed=350)
+    h_in, m_in = golden_inputs(351)
+    want = net.forward(h_in, m_in)
+    with layers.surrogate():
+        got = net.forward(h_in, m_in, surrogate=False)
+        assert uses_surrogate()
+    assert got.tobytes() == want.tobytes()
+    assert net.forward(h_in, m_in, surrogate=True).tobytes() != want.tobytes()
+
+
+def test_network_surrogate_forward_leaves_the_switch_off():
+    net = build(NetworkConfig.bisrnet(base_channels=4, n_wavelengths=8), seed=352)
+    h_in, m_in = golden_inputs(353)
+    net.forward(h_in, m_in, surrogate=True)
+    assert not uses_surrogate()
 
 
 def test_evaluate_leaves_no_cache():
@@ -151,20 +193,15 @@ def test_evaluate_leaves_no_cache():
     assert [layer.name for layer in all_layers(net) if layer._cache is not None] == []
 
 
-def cache_writers(source, module):
-    """Qualified names of the scopes that store to or delete an attribute
-    named ``_cache``, or name it in a setattr or delattr call."""
+def scopes_where(source, module, matches):
+    """Qualified names of the scopes of ``source`` that hold a node for
+    which ``matches`` is true, once per such node."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}"
-        stores = (isinstance(node, ast.Attribute) and node.attr == "_cache"
-                  and isinstance(node.ctx, (ast.Store, ast.Del)))
-        sets = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in ("setattr", "delattr") and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_cache")
-        if stores or sets:
+        if matches(node):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -173,12 +210,53 @@ def cache_writers(source, module):
     return found
 
 
-def test_only_the_layer_writer_assigns_a_cache():
+def package_scopes_where(matches):
     package = pathlib.Path(bisrnet.__file__).parent
-    found = []
-    for path in sorted(package.glob("*.py")):
-        found += cache_writers(path.read_text(), path.stem)
-    assert found == ["layers.Layer._save_cache"]
+    return [scope for path in sorted(package.glob("*.py"))
+            for scope in scopes_where(path.read_text(), path.stem, matches)]
+
+
+def writes_cache(node):
+    """A store to or delete of an attribute named ``_cache``, or a setattr
+    or delattr call naming it."""
+    stores = (isinstance(node, ast.Attribute) and node.attr == "_cache"
+              and isinstance(node.ctx, (ast.Store, ast.Del)))
+    sets = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr") and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_cache")
+    return stores or sets
+
+
+def cache_writers(source, module):
+    return scopes_where(source, module, writes_cache)
+
+
+def test_only_the_layer_writer_assigns_a_cache():
+    assert package_scopes_where(writes_cache) == ["layers.Layer._save_cache"]
+
+
+def touches_surrogate_switch(node):
+    """A use of the switch's variable, or a call of anything named
+    ``surrogate``."""
+    if isinstance(node, ast.Name) and node.id == "_use_surrogate":
+        return True
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None)) == "surrogate"
+
+
+def test_surrogate_switch_is_read_and_set_in_one_place_each():
+    # Defined at module level, wrapped by layers.surrogate, read by
+    # _binconv, entered by Network.forward.
+    assert package_scopes_where(touches_surrogate_switch) == [
+        "layers", "layers.surrogate", "layers.VanillaBinConv._binconv", "network.Network.forward",
+    ]
+
+
+def test_every_layer_forward_takes_only_its_input():
+    forwards = {name: str(inspect.signature(cls.forward)) for name, cls in vars(layers).items()
+                if isinstance(cls, type) and "forward" in vars(cls)}
+    assert "BiSRConv" in forwards and "Chain" in forwards
+    assert {name: sig for name, sig in forwards.items() if sig != "(self, x)"} == {}
 
 
 def test_cache_writer_check_sees_every_form_of_write():

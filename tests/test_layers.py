@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,9 +165,11 @@ class TestBiSRConv:
         probe = rng.standard_normal(x.shape)
 
         def loss():
-            return float((layer.forward(x, surrogate=True) * probe).sum())
+            with layers.surrogate():
+                return float((layer.forward(x) * probe).sum())
 
-        layer.forward(x, surrogate=True)
+        with layers.surrogate():
+            layer.forward(x)
         gin = layer.backward(probe)
         targets = [(p.value, p.grad, p.name) for p in layer.params()]
         targets.append((x, gin, "input"))
@@ -193,8 +197,8 @@ def test_input_of_another_dtype_rejected(build, layer_dtype, x_dtype, surrogate)
     layer = build(np.random.default_rng(8), np.dtype(layer_dtype))
     x = np.zeros((1, 4, 6, 6), x_dtype)
     message = f"^{layer.name}: input dtype {x_dtype} != weight dtype {layer_dtype}$"
-    with pytest.raises(ArgumentError, match=message):
-        layer.forward(x, surrogate=surrogate)
+    with layers.surrogate(surrogate), pytest.raises(ArgumentError, match=message):
+        layer.forward(x)
     assert layer._cache is None
 
 
@@ -213,6 +217,24 @@ def test_grad_out_of_another_dtype_rejected(build, layer_dtype, g_dtype):
     with pytest.raises(ArgumentError, match=message):
         layer.backward(np.ones(y.shape, g_dtype))
     assert layer.backward(np.ones_like(y)).dtype == np.dtype(layer_dtype)
+
+
+@pytest.mark.parametrize("build,out_shape", [
+    (lambda rng: Conv2dFP(4, 6, 4, 2, 1, rng, name="fp"), (1, 6, 4, 4)),
+    (lambda rng: VanillaBinConv(4, 6, 3, 1, 1, rng, name="bin"), (1, 6, 8, 8)),
+    (lambda rng: BiSRConv(4, rng, name="bisr"), (1, 4, 8, 8)),
+    (lambda rng: Pool2("pool"), (1, 4, 4, 4)),
+    (lambda rng: Up2("up"), (1, 4, 16, 16)),
+], ids=["Conv2dFP", "VanillaBinConv", "BiSRConv", "Pool2", "Up2"])
+def test_grad_out_of_another_shape_rejected(build, out_shape):
+    # A gradient that would broadcast against the output is refused, naming
+    # the layer and both shapes.
+    layer = build(np.random.default_rng(10))
+    assert layer.forward(np.ones((1, 4, 8, 8), np.float32)).shape == out_shape
+    g_shape = out_shape[:2] + (1, 1)
+    message = re.escape(f"{layer.name}: grad shape {g_shape} != output {out_shape}")
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        layer.backward(np.ones(g_shape, np.float32))
 
 
 class TestConvBlock:
@@ -356,13 +378,16 @@ class TestBinModules:
         rng = np.random.default_rng(20)
         mod = cls(4, rng, dtype=np.float64)
         x = rng.standard_normal((1, 4, 6, 6))
-        out = mod.forward(x, surrogate=True)
+        with layers.surrogate():
+            out = mod.forward(x)
         probe = rng.standard_normal(out.shape)
 
         def loss():
-            return float((mod.forward(x, surrogate=True) * probe).sum())
+            with layers.surrogate():
+                return float((mod.forward(x) * probe).sum())
 
-        mod.forward(x, surrogate=True)
+        with layers.surrogate():
+            mod.forward(x)
         gin = mod.backward(probe)
         targets = [(p.value, p.grad, p.name) for p in mod.params()]
         targets.append((x, gin, "input"))
@@ -427,13 +452,16 @@ class TestNormalModules:
         rng = np.random.default_rng(24)
         mod = build(rng)
         x = rng.standard_normal((1, 4, 6, 6))
-        out = mod.forward(x, surrogate=True)
+        with layers.surrogate():
+            out = mod.forward(x)
         probe = rng.standard_normal(out.shape)
 
         def loss():
-            return float((mod.forward(x, surrogate=True) * probe).sum())
+            with layers.surrogate():
+                return float((mod.forward(x) * probe).sum())
 
-        mod.forward(x, surrogate=True)
+        with layers.surrogate():
+            mod.forward(x)
         gin = mod.backward(probe)
         targets = [(p.value, p.grad, p.name) for p in mod.params()]
         targets.append((x, gin, "input"))

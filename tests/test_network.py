@@ -165,6 +165,15 @@ class TestBackward:
         with pytest.raises(StateError):
             net.backward(np.zeros_like(out))  # cache already consumed
 
+    @pytest.mark.parametrize("cfg", [NetworkConfig.bisrnet, NetworkConfig.base_model],
+                             ids=["bisrnet", "base"])
+    def test_grad_of_another_shape_rejected(self, cfg):
+        net = build(cfg(base_channels=4, n_wavelengths=4))
+        net.forward(*tiny_inputs(np.random.default_rng(0), h=8, w=8))
+        message = r"^mapping\.proj: grad shape \(1, 4, 1, 1\) != output \(1, 4, 8, 8\)$"
+        with pytest.raises(DimensionError, match=message):
+            net.backward(np.ones((1, 4, 1, 1), np.float32))
+
     @staticmethod
     def held_after_forward(cfg):
         """Bytes a (1, 8, 64, 64) forward leaves held besides its output,

@@ -46,6 +46,8 @@ BENCHMARK_SIGNATURES = [
                          ("stride", 1), ("pad", 0), ("pad_value", 0.0)]),
     (network.build, [("cfg", REQUIRED), ("seed", 0), ("dtype", np.float32)]),
     (network.Network.part_layers, [("self", REQUIRED), ("part", REQUIRED)]),
+    (network.Network.forward, [("self", REQUIRED), ("h_shifted", REQUIRED),
+                               ("m_shifted", REQUIRED), ("surrogate", False)]),
     (train.evaluate, [("net", REQUIRED), ("scenes", REQUIRED), ("sys", REQUIRED)]),
     (train.ssim, [("pred", REQUIRED), ("target", REQUIRED)]),
     (train.psnr, [("pred", REQUIRED), ("target", REQUIRED)]),
