@@ -104,8 +104,12 @@ def cmd_simulate(args):
     else:
         if not args.scene or not args.mask:
             raise ArgumentError("simulate needs --scene and --mask files, or --synth")
-        cube = read_hst(args.scene)[0]
-        mask = read_hst(args.mask)[0, 0]
+        cube, mask = read_hst(args.scene), read_hst(args.mask)
+        if cube.shape[0] != 1:
+            raise ArgumentError(f"--scene must be (1, bands, h, w), got {cube.shape}")
+        if mask.shape[:2] != (1, 1):
+            raise ArgumentError(f"--mask must be (1, 1, h, w), got {mask.shape}")
+        cube, mask = cube[0], mask[0, 0]
     sys_ = cassi.CassiSystem(mask, step=args.step, n_bands=cube.shape[0])
     y = cassi.forward_capture(cube, sys_)
     if args.noise:

@@ -578,8 +578,7 @@ class BiSRConv(VanillaBinConv):
 class Conv2dFP(_Conv):
     """Ordinary full-precision convolution layer with bias."""
 
-    def __init__(self, c_in, c_out, k, stride=1, pad=0, rng=None,
-                 dtype=np.float32, name="conv"):
+    def __init__(self, c_in, c_out, k, stride, pad, rng, dtype=np.float32, name="conv"):
         super().__init__(c_in, c_out, k, stride, pad, rng, dtype, name)
         self.bias = Param(f"{name}.bias", np.zeros(c_out, dtype))
 

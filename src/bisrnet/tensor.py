@@ -18,6 +18,15 @@ columns. ``conv2d_ref`` is another name for ``conv2d_forward``: it doubles
 as the independent oracle for the bit-packed XNOR/popcount kernel, which
 is why padding takes an explicit fill value: binarized feature maps pad
 with -1, real-valued ones with 0.
+
+The two resamplers keep fixed memory orders too. :func:`avg_pool2x2`
+keeps its input's order, and its backward returns C-contiguous memory.
+:func:`bilinear_up2` writes a two-tap stencil into strided slices, one
+axis at a time, and returns an (n, c, 2h, 2w) view of (n, 2h, 2w, c)
+memory, like a conv output, whatever its input's order. Its adjoint
+:func:`bilinear_up2_backward` adds each input pixel's terms in the order
+``np.add.at`` would and returns C-contiguous memory, the order in which
+the per-channel gradient sums after it round.
 """
 
 import numpy as np
@@ -199,60 +208,69 @@ def avg_pool2x2_backward(grad_out, in_shape):
     return g.reshape(in_shape)
 
 
-def _up2_indices(m):
-    # Output pixel i samples input at (i + 0.5)/2 - 0.5 (align-corners-false),
-    # clamped at the edges.
-    s = (np.arange(2 * m) + 0.5) / 2.0 - 0.5
-    i0f = np.floor(s)
-    t = s - i0f
-    i0 = np.clip(i0f.astype(np.int64), 0, m - 1)
-    i1 = np.clip(i0f.astype(np.int64) + 1, 0, m - 1)
-    return i0, i1, t
+def _up2_along(x, out, axis):
+    """Write the 2x bilinear stencil of ``x`` along ``axis`` into ``out``.
+
+    Output 2j is x[j-1]/4 + 3x[j]/4 and output 2j+1 is 3x[j]/4 + x[j+1]/4,
+    with x[-1] and x[m] clamped to the edge rows: the products and the one
+    add that the align-corners-false gather formula makes per element.
+    """
+    x, out = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    q, tq = x * np.asarray(0.25, x.dtype), x * np.asarray(0.75, x.dtype)
+    np.add(np.concatenate([q[:1], q[:-1]]), tq, out=out[0::2])
+    np.add(tq, np.concatenate([q[1:], q[-1:]]), out=out[1::2])
 
 
 def bilinear_up2(x):
-    """2x bilinear upsampling, align-corners-false with edge clamping."""
+    """2x bilinear upsampling, align-corners-false with edge clamping.
+
+    Interpolates the rows, then the columns. The result is an
+    (n, c, 2h, 2w) view of (n, 2h, 2w, c) memory, as conv outputs are.
+    """
     x = _require_4d(x)
     n, c, h, w = x.shape
-    r0, r1, rt = _up2_indices(h)
-    c0, c1, ct = _up2_indices(w)
-    rt = rt.astype(x.dtype)[None, None, :, None]
-    ct = ct.astype(x.dtype)[None, None, None, :]
-    rows = x[:, :, r0, :] * (1 - rt) + x[:, :, r1, :] * rt
-    out = rows[:, :, :, c0] * (1 - ct) + rows[:, :, :, c1] * ct
+    rows = np.empty((n, 2 * h, w, c), x.dtype).transpose(0, 3, 1, 2)
+    _up2_along(x, rows, 2)
+    out = np.empty((n, 2 * h, 2 * w, c), x.dtype).transpose(0, 3, 1, 2)
+    _up2_along(rows, out, 3)
     return out
 
 
-def _add_at(out, axis, idx, vals):
-    """``np.add.at`` along ``axis``, in one vectorized add per rank.
+def _up2_adjoint(g, out, axis):
+    """Add the adjoint of :func:`_up2_along` of ``g`` into zeroed ``out``.
 
-    Pass r adds, to each target, the r-th of the values aimed at it (in
-    ``idx`` order). Every target thus sums its values in the order
-    ``np.add.at`` uses, so the result matches it bit for bit.
+    Each target adds its terms in the order ``np.add.at`` would scatter
+    them through the gather formula's index arrays, so the sums match it
+    bit for bit. With ev, od = g[0::2], g[1::2], target k adds ev[0]/4
+    (k = 0 only), 3od[k]/4, ev[k+1]/4, od[k-1]/4, 3ev[k]/4, and od[m-1]/4
+    (k = m-1 only), each where it exists.
     """
-    out, vals = np.moveaxis(out, axis, -1), np.moveaxis(vals, axis, -1)
-    order = np.argsort(idx, kind="stable")
-    targets = idx[order]
-    rank = np.arange(targets.size) - np.searchsorted(targets, targets)
-    for r in range(rank.max() + 1):
-        pick = rank == r
-        out[..., targets[pick]] += vals[..., order[pick]]
+    g, o = np.moveaxis(g, axis, 0), np.moveaxis(out, axis, 0)
+    q, tq = np.asarray(0.25, g.dtype), np.asarray(0.75, g.dtype)
+    ev, od, m = g[0::2], g[1::2], o.shape[0]
+    o[0] += ev[0] * q
+    o += od * tq
+    o[: m - 1] += ev[1:] * q
+    o[1:] += od[: m - 1] * q
+    o += ev * tq
+    o[m - 1] += od[m - 1] * q
 
 
 def bilinear_up2_backward(grad_out, in_shape):
-    """Adjoint of :func:`bilinear_up2` (scatter the interpolation weights)."""
+    """Adjoint of :func:`bilinear_up2`: columns first, then rows.
+
+    ``grad_out`` must be (n, c, 2h, 2w) for ``in_shape`` (n, c, h, w). The
+    result is C-contiguous.
+    """
     n, c, h, w = in_shape
-    r0, r1, rt = _up2_indices(h)
-    c0, c1, ct = _up2_indices(w)
-    rt = rt.astype(grad_out.dtype)[None, None, :, None]
-    ct = ct.astype(grad_out.dtype)[None, None, None, :]
-    # Undo the column interpolation first, then the rows.
+    if grad_out.shape != (n, c, 2 * h, 2 * w):
+        raise DimensionError(
+            f"grad_out {grad_out.shape} is not the 2x upsample of input {tuple(in_shape)}"
+        )
     rows = np.zeros((n, c, 2 * h, w), dtype=grad_out.dtype)
-    _add_at(rows, 3, c0, grad_out * (1 - ct))
-    _add_at(rows, 3, c1, grad_out * ct)
-    gx = np.zeros(in_shape, dtype=grad_out.dtype)
-    _add_at(gx, 2, r0, rows * (1 - rt))
-    _add_at(gx, 2, r1, rows * rt)
+    _up2_adjoint(grad_out, rows, 3)
+    gx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
+    _up2_adjoint(rows, gx, 2)
     return gx
 
 

@@ -55,6 +55,24 @@ class TestSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,shape,want", [
+        ("--scene", (2, 4, 8, 8), "(1, bands, h, w)"),
+        ("--mask", (1, 3, 8, 8), "(1, 1, h, w)"),
+    ], ids=["scene", "mask"])
+    def test_input_of_another_shape_fails(self, tmp_path, capsys, flag, shape, want):
+        rng = np.random.default_rng(2)
+        files = {"--scene": (1, 4, 8, 8), "--mask": (1, 1, 8, 8)}
+        files[flag] = shape
+        argv = []
+        for name, dims in files.items():
+            path = tmp_path / f"{name[2:]}.hst"
+            write_hst(path, rng.random(dims).astype(np.float32))
+            argv += [name, str(path)]
+        out = tmp_path / "out"
+        assert run_cli("simulate", *argv, "--out", str(out)) == 1
+        assert f"{flag} must be {want}, got {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_fails_with_path(self, tmp_path, capsys):
         rc = run_cli("simulate", "--scene", str(tmp_path / "nope.hst"),
                      "--mask", str(tmp_path / "nope2.hst"), "--out", str(tmp_path / "out"))

@@ -120,7 +120,7 @@ def test_backward_after_cache_free_forward_raises(name, trained_first):
 
 
 def drops_cache():
-    layer = layers.Conv2dFP(2, 2, 1, rng=np.random.default_rng(330))
+    layer = layers.Conv2dFP(2, 2, 1, 1, 0, np.random.default_rng(330))
     layer.forward(np.ones((1, 2, 2, 2), np.float32))
     return layer._cache is None
 

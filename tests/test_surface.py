@@ -44,6 +44,9 @@ BENCHMARK_SIGNATURES = [
                               ("x_shape", REQUIRED), ("stride", REQUIRED), ("pad", REQUIRED)]),
     (tensor.conv2d_vjp, [("x", REQUIRED), ("weight", REQUIRED), ("grad_out", REQUIRED),
                          ("stride", 1), ("pad", 0), ("pad_value", 0.0)]),
+    (tensor.bilinear_up2, [("x", REQUIRED)]),
+    (tensor.bilinear_up2_backward, [("grad_out", REQUIRED), ("in_shape", REQUIRED)]),
+    (tensor.avg_pool2x2, [("x", REQUIRED)]),
     (network.build, [("cfg", REQUIRED), ("seed", 0), ("dtype", np.float32)]),
     (network.Network.part_layers, [("self", REQUIRED), ("part", REQUIRED)]),
     (network.Network.forward, [("self", REQUIRED), ("h_shifted", REQUIRED),

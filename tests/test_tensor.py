@@ -12,7 +12,6 @@ from bisrnet.tensor import (
     avg_pool2x2,
     avg_pool2x2_backward,
     bilinear_up2,
-    _up2_indices,
     bilinear_up2_backward,
     concat_channels,
     conv2d_forward,
@@ -243,6 +242,36 @@ class TestAvgPool:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
+def _up2_indices(m):
+    """Index arrays of the gather form of the 2x upsample, the oracle of
+    its stencil: output pixel i samples input (i + 0.5)/2 - 0.5
+    (align-corners-false), clamped at the edges."""
+    s = (np.arange(2 * m) + 0.5) / 2.0 - 0.5
+    i0f = np.floor(s)
+    t = s - i0f
+    i0 = np.clip(i0f.astype(np.int64), 0, m - 1)
+    i1 = np.clip(i0f.astype(np.int64) + 1, 0, m - 1)
+    return i0, i1, t
+
+
+def _gather_up2(x):
+    """The gather form of :func:`bilinear_up2`: rows, then columns."""
+    r0, r1, rt = _up2_indices(x.shape[2])
+    c0, c1, ct = _up2_indices(x.shape[3])
+    rt = rt.astype(x.dtype)[None, None, :, None]
+    ct = ct.astype(x.dtype)[None, None, None, :]
+    rows = x[:, :, r0, :] * (1 - rt) + x[:, :, r1, :] * rt
+    return rows[:, :, :, c0] * (1 - ct) + rows[:, :, :, c1] * ct
+
+
+def _mixed_values(rng, shape, dtype):
+    """Normal values scaled over eight decades, with -0.0 mixed in."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+    v = v.astype(dtype)
+    v[rng.random(shape) < 0.1] = -0.0
+    return v
+
+
 class TestBilinearUp2:
     def test_constant(self):
         x = np.full((1, 2, 3, 3), 1.5, dtype=np.float32)
@@ -267,6 +296,35 @@ class TestBilinearUp2:
         lhs = (bilinear_up2(x) * g).sum()
         rhs = (x * bilinear_up2_backward(g, x.shape)).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @staticmethod
+    def check_matches_gather(x):
+        # Compared through C-ordered bytes, so -0.0 against +0.0 counts.
+        got, want = bilinear_up2(x), _gather_up2(x)
+        assert got.dtype == x.dtype
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        n, c, h, w = got.shape
+        assert got.strides == np.empty((n, h, w, c), x.dtype).transpose(0, 3, 1, 2).strides
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        channel_last=st.booleans(),
+        n=st.integers(1, 2),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_forward_matches_gather_bit_for_bit(self, dtype, channel_last, n, c, h, w, seed):
+        x = _mixed_values(np.random.default_rng(seed), (n, c, h, w), dtype)
+        if channel_last:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        self.check_matches_gather(x)
+
+    def test_forward_matches_gather_at_decoder_size(self):
+        x = _mixed_values(np.random.default_rng(12), (1, 128, 128, 56), np.float32)
+        self.check_matches_gather(x.transpose(0, 3, 1, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -293,7 +351,17 @@ class TestBilinearUp2:
         want = np.zeros((n, c, h, w), dtype=np.float32)
         np.add.at(want, (slice(None), slice(None), r0), rows * (1 - rt))
         np.add.at(want, (slice(None), slice(None), r1), rows * rt)
-        assert bilinear_up2_backward(g, (n, c, h, w)).tobytes() == want.tobytes()
+        got = bilinear_up2_backward(g, (n, c, h, w))
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("g_shape", [(1, 1, 4, 4), (2, 1, 4, 5), (2, 2, 4, 4)])
+    def test_backward_rejects_grad_of_another_shape(self, g_shape):
+        # The in-place adds would broadcast a (1, 1, 4, 4) gradient over
+        # both images of a (2, 1, 2, 2) input.
+        with pytest.raises(DimensionError) as err:
+            bilinear_up2_backward(np.ones(g_shape, np.float32), (2, 1, 2, 2))
+        assert str(g_shape) in str(err.value) and "(2, 1, 2, 2)" in str(err.value)
 
 
 class TestConcatSplit:
