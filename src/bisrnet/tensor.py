@@ -215,7 +215,10 @@ def _up2_along(x, out, axis):
     with x[-1] and x[m] clamped to the edge rows: the products and the one
     add that the align-corners-false gather formula makes per element.
     """
-    x, out = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    # swapaxes, not np.moveaxis: each moveaxis call leaves the cyclic GC's
+    # allocation count two higher, which moves its next run, and so how long
+    # callers' garbage cycles hold their memory, with the number of calls.
+    x, out = x.swapaxes(0, axis), out.swapaxes(0, axis)
     q, tq = x * np.asarray(0.25, x.dtype), x * np.asarray(0.75, x.dtype)
     np.add(np.concatenate([q[:1], q[:-1]]), tq, out=out[0::2])
     np.add(tq, np.concatenate([q[1:], q[-1:]]), out=out[1::2])
@@ -245,7 +248,7 @@ def _up2_adjoint(g, out, axis):
     (k = 0 only), 3od[k]/4, ev[k+1]/4, od[k-1]/4, 3ev[k]/4, and od[m-1]/4
     (k = m-1 only), each where it exists.
     """
-    g, o = np.moveaxis(g, axis, 0), np.moveaxis(out, axis, 0)
+    g, o = g.swapaxes(0, axis), out.swapaxes(0, axis)
     q, tq = np.asarray(0.25, g.dtype), np.asarray(0.75, g.dtype)
     ev, od, m = g[0::2], g[1::2], o.shape[0]
     o[0] += ev[0] * q

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -362,6 +363,23 @@ class TestBilinearUp2:
         with pytest.raises(DimensionError) as err:
             bilinear_up2_backward(np.ones(g_shape, np.float32), (2, 1, 2, 2))
         assert str(g_shape) in str(err.value) and "(2, 1, 2, 2)" in str(err.value)
+
+    def test_calls_leave_the_gc_allocation_count_flat(self):
+        # Every GC-tracked object a call leaves on the books (np.moveaxis
+        # leaves two) brings the cyclic collector's next run closer, and
+        # with it the moment callers' garbage cycles are freed: peak memory
+        # then depends on how many calls came before.
+        x, g = np.zeros((2, 3, 4, 5), np.float32), np.zeros((2, 3, 8, 10), np.float32)
+        for call in (lambda: bilinear_up2(x), lambda: bilinear_up2_backward(g, x.shape)):
+            call()
+            gc.disable()
+            try:
+                before = gc.get_count()[0]
+                for _ in range(100):
+                    call()
+                assert gc.get_count()[0] - before < 100
+            finally:
+                gc.enable()
 
 
 class TestConcatSplit:
