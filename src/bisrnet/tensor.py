@@ -5,19 +5,27 @@ All activations and weights in this toolkit are plain numpy arrays in
 gradient-check harnesses build everything in float64 instead. Every
 function here is pure and deterministic for fixed inputs.
 
-Convolution is im2col plus GEMM, with one column builder, ``_im2col``.
-:func:`conv2d_forward` builds its columns one block of output rows at a
-time in an L2-sized buffer and runs one GEMM per block, so no full-size
-column matrix exists; blocks never drop below a minimum size, because
-OpenBLAS rounds small GEMMs differently. Its output is bit-identical to a
-single GEMM over the whole column matrix, down to the memory order: an
-(n, c_out, ho, wo) view of (n, ho, wo, c_out) memory. :func:`conv2d_vjp`
-takes the forward input back and builds the full columns, whose sum order
-its einsum fixes, so a caller keeps ``x`` for its backward, never the
-columns. ``conv2d_ref`` is another name for ``conv2d_forward``: it doubles
-as the independent oracle for the bit-packed XNOR/popcount kernel, which
-is why padding takes an explicit fill value: binarized feature maps pad
-with -1, real-valued ones with 0.
+Convolution is im2col plus GEMM, with one column copy loop, ``_copy_taps``,
+into a destination whose memory order the caller picks. :func:`conv2d_forward`
+copies tap rows, (n, c*k*k, L) memory in which row (c, dy, dx) holds channel
+c's strided window for one tap, so every copy moves whole output rows. It
+builds them one block of output rows at a time in an L2-sized buffer and
+hands each block's transposed (L, c*k*k) view to one GEMM, so no full-size
+column matrix exists. Blocks never drop below a minimum size, because
+OpenBLAS rounds small GEMMs differently, and a transposed operand
+differently again: a conv too small for such blocks runs one GEMM on
+C-ordered patch rows, (n, L, c*k*k) memory, instead. A stride-1 1x1 conv
+copies nothing when it can: its columns are the input itself. The output is
+bit-identical to a single GEMM over the whole C-ordered column matrix, down
+to the memory order: an (n, c_out, ho, wo) view of (n, ho, wo, c_out)
+memory. :func:`conv2d_vjp` takes the forward input back and builds C-ordered
+patch rows, so a caller keeps ``x`` for its backward, never the columns. Its
+weight-gradient einsum sums in memory order, and over tap rows it would
+round differently. Its input gradient goes through tap-row grad-cols, so
+each tap's scatter reads whole rows. ``conv2d_ref`` is another name for
+``conv2d_forward``: it doubles as the independent oracle for the bit-packed
+XNOR/popcount kernel, which is why padding takes an explicit fill value:
+binarized feature maps pad with -1, real-valued ones with 0.
 
 The two resamplers keep fixed memory orders too. :func:`avg_pool2x2`
 keeps its input's order, and its backward returns C-contiguous memory.
@@ -51,34 +59,49 @@ def pad_constant(x, pad, value):
     return out
 
 
-# Forward column blocks hold about _BLOCK_BYTES, so each block's im2col rows
+# Forward column blocks hold about _BLOCK_BYTES, so each block's tap rows
 # stay in a core's L2 cache between being built and being multiplied (as
 # bitpack's row blocks do).
 _BLOCK_BYTES = 1 << 20
 # OpenBLAS switches to small-matrix kernels, which round differently, below
-# about 1e6 M*N*K. A block that is not the whole conv keeps at least this
-# many, so every block rounds like the one GEMM over the whole conv.
+# about 1e6 M*N*K, and those also round a transposed operand differently from
+# a C-ordered one. A block that is not the whole conv keeps at least this
+# many, so every block rounds like the one GEMM over the whole conv; a conv
+# too small for such blocks runs that one GEMM on C-ordered patch rows.
 _MIN_BLOCK_MNK = 1 << 23
 
 
-def _im2col(xp, k, stride, r0, r1, out=None):
-    """Patch rows of output rows [r0, r1) of a padded 4-D array.
+def _copy_taps(xp, k, stride, r0, r1, taps):
+    """Copy the columns of output rows [r0, r1) of a padded 4-D array.
 
-    Returns (n, (r1 - r0) * wo, c*k*k), in ``out``'s memory if given. Patch
-    elements are ordered (channel, tap row, tap col), matching the weight
-    layout w.reshape(c_out, -1). One strided copy per tap fills them.
+    ``taps`` is an (n, c, k, k, r1 - r0, wo) view whose [:, :, dy, dx] holds
+    each channel's strided window for tap (dy, dx); its memory order is the
+    caller's. As tap rows, (n, c*k*k, L) memory, every copy moves whole
+    output rows. As patch rows, (n, L, c*k*k) memory, the elements of one
+    pixel are ordered (channel, tap row, tap col), matching the weight
+    layout w.reshape(c_out, -1), but each copy writes with a stride of
+    c*k*k elements.
     """
-    n, c, hp, wp = xp.shape
-    wo = (wp - k) // stride + 1
-    size = n * (r1 - r0) * wo * c * k * k
-    out = np.empty(size, xp.dtype) if out is None else out[:size]
-    taps = out.reshape(n, r1 - r0, wo, c, k, k)
+    wo = taps.shape[-1]
     for dy in range(k):
         rows = slice(r0 * stride + dy, (r1 - 1) * stride + dy + 1, stride)
         for dx in range(k):
-            tap = xp[:, :, rows, dx : dx + (wo - 1) * stride + 1 : stride]
-            taps[..., dy, dx] = tap.transpose(0, 2, 3, 1)
-    return out.reshape(n, (r1 - r0) * wo, c * k * k)
+            taps[:, :, dy, dx] = xp[:, :, rows, dx : dx + (wo - 1) * stride + 1 : stride]
+
+
+def _patch_rows(xp, k, stride):
+    """C-ordered (n, L, c*k*k) patch rows of a whole padded 4-D array.
+
+    Those of a stride-1 1x1 conv are the input's pixels: a view when ``xp``
+    is channel-last.
+    """
+    n, c, hp, wp = xp.shape
+    if k == 1 and stride == 1:
+        return np.ascontiguousarray(xp.transpose(0, 2, 3, 1)).reshape(n, hp * wp, c)
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    cols = np.empty((n, ho, wo, c, k, k), xp.dtype)
+    _copy_taps(xp, k, stride, 0, ho, cols.transpose(0, 3, 4, 5, 1, 2))
+    return cols.reshape(n, ho * wo, c * k * k)
 
 
 def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
@@ -89,15 +112,16 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
     border is filled with ``pad_value``. Keeps nothing for a backward pass:
     :func:`conv2d_vjp` rebuilds the columns from ``x``.
 
-    The columns are built one block of output rows of one image at a time,
-    in a buffer of about ``_BLOCK_BYTES``, and each block makes one GEMM
-    into its rows of the output. A block never has fewer than
-    ``_MIN_BLOCK_MNK`` multiply-adds, so only a conv too small for two such
-    blocks per image builds its whole column matrix, as one block and one
-    GEMM call over all images. The result is an (n, c_out, ho, wo) view of
-    (n, ho, wo, c_out) memory. Its bytes and that memory order are both
-    part of the bit-exact contract: later sums and GEMMs round in memory
-    order.
+    The columns are built as tap rows, one block of output rows of one
+    image at a time, in a buffer of about ``_BLOCK_BYTES``, and each block
+    makes one GEMM into its rows of the output. A block never has fewer
+    than ``_MIN_BLOCK_MNK`` multiply-adds, so only a conv too small for two
+    such blocks per image builds its whole column matrix, as C-ordered
+    patch rows and one GEMM call over all images. A stride-1 1x1 conv with
+    blocks makes one GEMM straight from the input's memory. The result is
+    an (n, c_out, ho, wo) view of (n, ho, wo, c_out) memory. Its bytes and
+    that memory order are both part of the bit-exact contract: later sums
+    and GEMMs round in memory order.
     """
     x = _require_4d(x)
     weight = np.asarray(weight)
@@ -128,17 +152,23 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
     kk = c_in * k * k
     rows = max(_BLOCK_BYTES // (wo * kk * xp.itemsize), -(-_MIN_BLOCK_MNK // (wo * c_out * kk)))
     nb = ho // rows
+    wmat_t = weight.reshape(c_out, -1).T
+    y = np.empty((n, ho * wo, c_out), np.result_type(xp, weight))
     if nb < 2:
-        blocks, buf = [(slice(None), 0, ho)], None
+        np.matmul(_patch_rows(xp, k, stride), wmat_t, out=y)
+    elif k == 1 and stride == 1:
+        # The tap rows of a 1x1 conv are its input: a view of C-ordered and of
+        # channel-last memory alike.
+        np.matmul(xp.reshape(n, c_in, ho * wo).transpose(0, 2, 1), wmat_t, out=y)
     else:
         # nb blocks per image of rows..2*rows-1 output rows each.
         bounds = [ho * j // nb for j in range(nb + 1)]
-        blocks = [(slice(i, i + 1), r0, r1) for i in range(n) for r0, r1 in zip(bounds, bounds[1:])]
         buf = np.empty(-(-ho // nb) * wo * kk, xp.dtype)
-    wmat_t = weight.reshape(c_out, -1).T
-    y = np.empty((n, ho * wo, c_out), np.result_type(xp, weight))
-    for imgs, r0, r1 in blocks:
-        np.matmul(_im2col(xp[imgs], k, stride, r0, r1, buf), wmat_t, out=y[imgs, r0 * wo : r1 * wo])
+        for i in range(n):
+            for r0, r1 in zip(bounds, bounds[1:]):
+                taps = buf[: kk * (r1 - r0) * wo].reshape(1, c_in, k, k, r1 - r0, wo)
+                _copy_taps(xp[i : i + 1], k, stride, r0, r1, taps)
+                np.matmul(taps.reshape(kk, -1).T, wmat_t, out=y[i, r0 * wo : r1 * wo])
     if bias is None:
         return y.transpose(0, 2, 1).reshape(n, c_out, ho, wo)
     # In place where the dtype allows. The view's strides are those of the
@@ -153,18 +183,17 @@ conv2d_ref = conv2d_forward
 def conv2d_backward(cols, grad_out, weight, x_shape, stride, pad):
     """Column-space step of :func:`conv2d_vjp`.
 
-    ``cols`` are the (n, L, c_in*k*k) patch rows of the padded forward
-    input and ``weight`` the forward weight. Returns (grad_x, grad_w); the
-    constant padding receives no gradient.
+    ``cols`` are the (n, L, c_in*k*k) C-ordered patch rows of the padded
+    forward input and ``weight`` the forward weight. Returns (grad_x,
+    grad_w); the constant padding receives no gradient.
     """
     c_out, c_in, k, _ = weight.shape
     n, _, ho, wo = grad_out.shape
-    go = grad_out.reshape(n, c_out, ho * wo).transpose(0, 2, 1)  # (n, L, c_out)
+    go = grad_out.reshape(n, c_out, ho * wo)
+    grad_w = np.einsum("nol,nlk->ok", go, cols).reshape(weight.shape)
 
-    grad_w = np.einsum("nlo,nlk->ok", go, cols).reshape(weight.shape)
-
-    grad_cols = go @ weight.reshape(c_out, -1)  # (n, L, c_in*k*k)
-    g = grad_cols.reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
+    # Grad-cols as tap rows (n, c_in*k*k, L): each tap's add reads whole rows.
+    g = (weight.reshape(c_out, -1).T @ go).reshape(n, c_in, k, k, ho, wo)
 
     hp, wp = x_shape[2] + 2 * pad, x_shape[3] + 2 * pad
     gxp = np.zeros((n, c_in, hp, wp), dtype=grad_out.dtype)
@@ -187,8 +216,7 @@ def conv2d_vjp(x, weight, grad_out, stride=1, pad=0, pad_value=0.0):
     """
     x = _require_4d(x)
     xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
-    k = weight.shape[2]
-    cols = _im2col(xp, k, stride, 0, (xp.shape[2] - k) // stride + 1)
+    cols = _patch_rows(xp, weight.shape[2], stride)
     return conv2d_backward(cols, grad_out, weight, x.shape, stride, pad)
 
 

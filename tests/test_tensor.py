@@ -107,18 +107,71 @@ class TestConv2dRef:
                 np.testing.assert_allclose(grad.reshape(-1)[i], fd, rtol=1e-5, atol=1e-8)
 
 
+def sliding_patch_rows(xp, k, stride):
+    """(n, L, c*k*k) C-ordered patch rows of a padded input, from one
+    sliding_window_view: the columns of the single-GEMM formulation."""
+    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k))
+
+
+def pad_with(x, pad, pad_value):
+    """x with ``pad`` rows and columns of ``pad_value`` on every side."""
+    n, c, h, wd = x.shape
+    xp = np.full((n, c, h + 2 * pad, wd + 2 * pad), pad_value, dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    return xp
+
+
 def one_gemm_conv(x, w, bias, stride, pad, pad_value):
     """The single-GEMM formulation the blocked forward replaced: one
     sliding_window_view column matrix for the whole conv, one matmul."""
-    n, c, h, wd = x.shape
+    n, _, h, wd = x.shape
     c_out, _, k, _ = w.shape
-    xp = np.full((n, c, h + 2 * pad, wd + 2 * pad), pad_value, dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + wd] = x
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k))
+    ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    cols = sliding_patch_rows(pad_with(x, pad, pad_value), k, stride)
     y = (cols @ w.reshape(c_out, -1).T).transpose(0, 2, 1).reshape(n, c_out, ho, wo)
     return y if bias is None else y + bias[None, :, None, None]
+
+
+def patch_row_backward(cols, grad_out, weight, x_shape, stride, pad):
+    """The column-space backward that tap-row grad-cols replaced: patch-row
+    grad-cols go @ W, read by one strided scatter per tap."""
+    c_out, c_in, k, _ = weight.shape
+    n, _, ho, wo = grad_out.shape
+    go = grad_out.reshape(n, c_out, ho * wo).transpose(0, 2, 1)
+    grad_w = np.einsum("nlo,nlk->ok", go, cols).reshape(weight.shape)
+    grad_cols = go @ weight.reshape(c_out, -1)
+    g = grad_cols.reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros((n, c_in, x_shape[2] + 2 * pad, x_shape[3] + 2 * pad), dtype=grad_out.dtype)
+    for dy in range(k):
+        for dx in range(k):
+            gxp[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride] += g[
+                :, :, dy, dx
+            ]
+    return gxp[:, :, pad : pad + x_shape[2], pad : pad + x_shape[3]], grad_w
+
+
+def channel_last(x):
+    """x's values in (n, h, w, c) memory, viewed as (n, c, h, w)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_gc_count_flat(call):
+    """Every GC-tracked object a call leaves on the books (np.moveaxis
+    leaves two) brings the cyclic collector's next run closer, and with it
+    the moment callers' garbage cycles are freed: peak memory then depends
+    on how many calls came before."""
+    call()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for _ in range(100):
+            call()
+        assert gc.get_count()[0] - before < 100
+    finally:
+        gc.enable()
 
 
 # Every conv2d_forward shape one 256x256 reconstruction runs, binarized net
@@ -159,6 +212,9 @@ ODD_CONVS = [
     ((1, 112, 64, 64), (2, 112, 3, 3), 1, 1, 0.0, np.float32),
     # The minimum, not 1 MiB, sets the size: 17 blocks of 15 or 16 rows.
     ((1, 64, 256, 256), (4, 64, 3, 3), 1, 1, 0.0, np.float32),
+    # One GEMM on C-ordered patch rows: as transposed tap rows, OpenBLAS's
+    # small-matrix kernels round this surrogate-path conv differently.
+    ((2, 16, 8, 8), (16, 16, 3, 3), 1, 1, -1.0, np.float32),
 ]
 
 
@@ -167,9 +223,11 @@ class TestBlockedConvForward:
     bytes and the memory order of the single-GEMM form."""
 
     @staticmethod
-    def check(x_shape, w_shape, stride, pad, pad_value, dtype, bias=True):
+    def check(x_shape, w_shape, stride, pad, pad_value, dtype, bias=True, x_channel_last=False):
         rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
         x = rng.standard_normal(x_shape).astype(dtype)
+        if x_channel_last:
+            x = channel_last(x)
         w = rng.standard_normal(w_shape).astype(dtype)
         b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
         got = conv2d_forward(x, w, b, stride=stride, pad=pad, pad_value=pad_value)
@@ -181,6 +239,11 @@ class TestBlockedConvForward:
     @pytest.mark.parametrize("x_shape,w_shape,stride,pad", RECON_CONVS)
     def test_recon_shapes_match_one_gemm(self, x_shape, w_shape, stride, pad):
         self.check(x_shape, w_shape, stride, pad, 0.0, np.float32)
+
+    # The network feeds most of these convs channel-last memory.
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", RECON_CONVS)
+    def test_recon_shapes_match_one_gemm_on_channel_last_input(self, x_shape, w_shape, stride, pad):
+        self.check(x_shape, w_shape, stride, pad, 0.0, np.float32, x_channel_last=True)
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,pad,pad_value,dtype", ODD_CONVS)
     def test_odd_shapes_match_one_gemm(self, x_shape, w_shape, stride, pad, pad_value, dtype):
@@ -208,6 +271,69 @@ class TestBlockedConvForward:
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(DimensionError):
             conv2d_forward(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)))
+
+    def test_calls_leave_the_gc_allocation_count_flat(self):
+        # One GEMM, blocks, and a 1x1 conv on C-ordered and channel-last x.
+        rng = np.random.default_rng(5)
+        small = rng.standard_normal((2, 8, 16, 16)).astype(np.float32)
+        large = rng.standard_normal((1, 28, 256, 256)).astype(np.float32)
+        w3 = rng.standard_normal((28, 28, 3, 3)).astype(np.float32)
+        w1 = rng.standard_normal((28, 28, 1, 1)).astype(np.float32)
+        b = np.zeros(28, np.float32)
+        assert_gc_count_flat(lambda: conv2d_forward(small, w3[:8, :8], b[:8], pad=1))
+        assert_gc_count_flat(lambda: conv2d_forward(large[:, :, :64], w3, b, pad=1))
+        assert_gc_count_flat(lambda: conv2d_forward(large, w1, b))
+        assert_gc_count_flat(lambda: conv2d_forward(channel_last(large), w1, b))
+
+
+# Every conv2d_vjp shape of one training step at C=8, patch 32, batch 2,
+# and three strided 4x4 convs: (x shape, weight shape, stride, pad, pad value).
+TRAIN_CONVS = [
+    ((2, 8, 32, 32), (8, 8, 3, 3), 1, 1, -1.0),
+    ((2, 8, 32, 32), (8, 8, 3, 3), 1, 1, 0.0),
+    ((2, 8, 16, 16), (8, 8, 3, 3), 1, 1, -1.0),
+    ((2, 16, 16, 16), (16, 16, 3, 3), 1, 1, -1.0),
+    ((2, 16, 8, 8), (16, 16, 3, 3), 1, 1, -1.0),
+    ((2, 32, 8, 8), (32, 32, 3, 3), 1, 1, -1.0),
+    ((2, 8, 32, 32), (8, 8, 1, 1), 1, 0, 0.0),
+    ((2, 16, 32, 32), (8, 16, 1, 1), 1, 0, 0.0),
+    ((2, 8, 32, 32), (16, 8, 4, 4), 2, 1, 0.0),
+    ((2, 16, 16, 16), (32, 16, 4, 4), 2, 1, -1.0),
+    ((1, 28, 64, 64), (56, 28, 4, 4), 2, 1, 0.0),
+]
+
+
+class TestConvVjp:
+    """conv2d_vjp forms its grad-cols as tap rows; its gradients must keep
+    the bytes and memory order of patch-row grad-cols."""
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,pad_value", TRAIN_CONVS)
+    @pytest.mark.parametrize("x_order,g_order", [("C", "C"), ("C", "last"), ("last", "C")])
+    def test_matches_patch_row_backward(self, x_shape, w_shape, stride, pad, pad_value, x_order, g_order):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        ho = (x_shape[2] + 2 * pad - w_shape[2]) // stride + 1
+        wo = (x_shape[3] + 2 * pad - w_shape[2]) // stride + 1
+        g = rng.standard_normal((x_shape[0], w_shape[0], ho, wo)).astype(np.float32)
+        x = channel_last(x) if x_order == "last" else x
+        g = channel_last(g) if g_order == "last" else g
+        got = conv2d_vjp(x, w, g, stride=stride, pad=pad, pad_value=pad_value)
+        cols = sliding_patch_rows(pad_with(x, pad, np.float32(pad_value)), w_shape[2], stride)
+        want = patch_row_backward(cols, g, w, x_shape, stride, pad)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+
+    def test_calls_leave_the_gc_allocation_count_flat(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 8, 32, 32)).astype(np.float32)
+        g = rng.standard_normal((2, 8, 32, 32)).astype(np.float32)
+        w3 = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        w1 = rng.standard_normal((8, 8, 1, 1)).astype(np.float32)
+        assert_gc_count_flat(lambda: conv2d_vjp(x, w3, g, pad=1, pad_value=-1.0))
+        assert_gc_count_flat(lambda: conv2d_vjp(channel_last(x), w1, g))
 
 
 class TestAvgPool:
@@ -365,21 +491,9 @@ class TestBilinearUp2:
         assert str(g_shape) in str(err.value) and "(2, 1, 2, 2)" in str(err.value)
 
     def test_calls_leave_the_gc_allocation_count_flat(self):
-        # Every GC-tracked object a call leaves on the books (np.moveaxis
-        # leaves two) brings the cyclic collector's next run closer, and
-        # with it the moment callers' garbage cycles are freed: peak memory
-        # then depends on how many calls came before.
         x, g = np.zeros((2, 3, 4, 5), np.float32), np.zeros((2, 3, 8, 10), np.float32)
-        for call in (lambda: bilinear_up2(x), lambda: bilinear_up2_backward(g, x.shape)):
-            call()
-            gc.disable()
-            try:
-                before = gc.get_count()[0]
-                for _ in range(100):
-                    call()
-                assert gc.get_count()[0] - before < 100
-            finally:
-                gc.enable()
+        assert_gc_count_flat(lambda: bilinear_up2(x))
+        assert_gc_count_flat(lambda: bilinear_up2_backward(g, x.shape))
 
 
 class TestConcatSplit:
