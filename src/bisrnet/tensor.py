@@ -90,14 +90,8 @@ def _copy_taps(xp, k, stride, r0, r1, taps):
 
 
 def _patch_rows(xp, k, stride):
-    """C-ordered (n, L, c*k*k) patch rows of a whole padded 4-D array.
-
-    Those of a stride-1 1x1 conv are the input's pixels: a view when ``xp``
-    is channel-last.
-    """
+    """C-ordered (n, L, c*k*k) patch rows of a whole padded 4-D array."""
     n, c, hp, wp = xp.shape
-    if k == 1 and stride == 1:
-        return np.ascontiguousarray(xp.transpose(0, 2, 3, 1)).reshape(n, hp * wp, c)
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     cols = np.empty((n, ho, wo, c, k, k), xp.dtype)
     _copy_taps(xp, k, stride, 0, ho, cols.transpose(0, 3, 4, 5, 1, 2))
@@ -186,6 +180,14 @@ def conv2d_backward(cols, grad_out, weight, x_shape, stride, pad):
     ``cols`` are the (n, L, c_in*k*k) C-ordered patch rows of the padded
     forward input and ``weight`` the forward weight. Returns (grad_x,
     grad_w); the constant padding receives no gradient.
+
+    The grad-cols are tap rows, ``W^T @ go``, rather than the patch rows
+    ``go @ W``, so each tap's scatter add reads whole rows. The two GEMMs
+    need not sum in the same order. In float32 they gave the same bytes at
+    every shape tried, which ``TestConvVjp`` and the golden digests pin for
+    the training shapes; nothing guarantees it at other shapes. In float64,
+    which only the finite-difference checks use, ``grad_x`` can differ from
+    the patch-row form by an ulp (seen at c_in*k*k = 252).
     """
     c_out, c_in, k, _ = weight.shape
     n, _, ho, wo = grad_out.shape

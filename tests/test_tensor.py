@@ -326,6 +326,20 @@ class TestConvVjp:
             assert a.strides == b.strides
             assert a.tobytes() == b.tobytes()
 
+    def test_float64_matches_patch_row_backward_to_rounding(self):
+        # At c_in*k*k = 252 the two grad-col GEMMs sum in different orders:
+        # float64 grad_x moves by up to an ulp here, so only closeness holds.
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 28, 16, 16))
+        w = rng.standard_normal((28, 28, 3, 3))
+        g = rng.standard_normal((2, 28, 16, 16))
+        got = conv2d_vjp(x, w, g, pad=1)
+        want = patch_row_backward(sliding_patch_rows(pad_with(x, 1, 0.0), 3, 1), g, w, x.shape, 1, 1)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64
+            assert a.strides == b.strides
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
     def test_calls_leave_the_gc_allocation_count_flat(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 8, 32, 32)).astype(np.float32)
