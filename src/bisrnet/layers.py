@@ -73,6 +73,12 @@ times, so each ufunc runs rows w*c long, not c. BiSRConv's output is
 channel-last when it holds at least 256 KiB or when x is channel-last,
 and takes x's memory order otherwise.
 
+Both passes hand their block list to :func:`split.run_split`, which runs
+contiguous runs of blocks on every CPU in the process's affinity mask,
+each run with its own buffers, as the kernel does with its row blocks. A
+block writes only its own rows of the packed words or of the output, so
+the bytes do not depend on the number of CPUs.
+
 A conv layer computes in its weights' dtype. :class:`Conv2dFP` and both
 1-bit layers raise ArgumentError, naming the layer and both dtypes, for an
 input of any other dtype, so a float32 network fed float64 inputs stops at
@@ -112,7 +118,7 @@ import contextvars
 
 import numpy as np
 
-from . import bitpack
+from . import bitpack, split
 from .binarize import binarize_weights, sign, ste_grad, ste_value
 from .errors import ArgumentError, DimensionError, StateError
 from .tensor import (
@@ -388,18 +394,26 @@ class VanillaBinConv(_Conv):
         rows against the parameters tiled w times."""
         n, c, h, w = x.shape
         rows = _block_rows(n, h, w * c)
+        blocks = list(_blocks(n, h, rows))
         xv = x.transpose(0, 2, 3, 1)
         words = np.empty((n, h, w, bitpack.words_per_row(c)), np.uint64)
-        bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
         if self.gain is not None:
             gain, shift = (_tile_w(p.value, w) for p in (self.gain, self.shift))
-            xr = np.empty((rows, w, c), x.dtype)
-        for blk in _blocks(n, h, rows):
-            xb = xv[blk]
-            if self.gain is not None:
-                xb = np.multiply(gain, xb, out=_block_of(xr, xb))
-                xb += shift
-            words[blk] = bitpack.sign_words(xb, _block_of(bits, xb))
+
+        def scratch():
+            bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
+            return bits, None if self.gain is None else np.empty((rows, w, c), x.dtype)
+
+        def run_blocks(lo, hi, bufs):
+            bits, xr = bufs
+            for blk in blocks[lo:hi]:
+                xb = xv[blk]
+                if xr is not None:
+                    xb = np.multiply(gain, xb, out=_block_of(xr, xb))
+                    xb += shift
+                words[blk] = bitpack.sign_words(xb, _block_of(bits, xb))
+
+        split.run_split(run_blocks, len(blocks), scratch)
         return bitpack.BitTensor(shape=x.shape, words=words)
 
     def _operands(self, xr, w_sign, surrogate, alpha):
@@ -531,16 +545,23 @@ class BiSRConv(VanillaBinConv):
         else:
             out = np.empty_like(x)
         rows = _block_rows(n, h, w * c)
+        blocks = list(_blocks(n, h, rows))
         params = (self.beta.value, self.gamma.value, self.zeta.value)
         prm = _rprelu_params(*(_tile_w(p, w) for p in params), x.dtype, (w, c))
-        y = np.empty((rows, w, c), x.dtype)
-        factor = np.empty(y.shape, prm[0].dtype)
         xv, rv, ov = (a.transpose(0, 2, 3, 1) for a in (x, raw, out))
-        for blk in _blocks(n, h, rows):
-            xb = xv[blk]
-            yb = np.multiply(scale, rv[blk], out=_block_of(y, xb))
-            _rprelu_into(yb, yb, _block_of(factor, xb), *prm)
-            np.add(xb, yb, out=ov[blk])
+
+        def scratch():
+            return np.empty((rows, w, c), x.dtype), np.empty((rows, w, c), prm[0].dtype)
+
+        def run_blocks(lo, hi, bufs):
+            y, factor = bufs
+            for blk in blocks[lo:hi]:
+                xb = xv[blk]
+                yb = np.multiply(scale, rv[blk], out=_block_of(y, xb))
+                _rprelu_into(yb, yb, _block_of(factor, xb), *prm)
+                np.add(xb, yb, out=ov[blk])
+
+        split.run_split(run_blocks, len(blocks), scratch)
         return out
 
     def forward(self, x):

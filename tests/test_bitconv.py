@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisrnet import bitpack
+from bisrnet import bitpack, split
 from bisrnet.binarize import sign
 from bisrnet.bitpack import (
     BitTensor,
@@ -293,21 +293,27 @@ class TestPlaneBlocks:
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("shape,c_out", [((1, 28, 256, 256), 28), ((1, 112, 64, 64), 112)])
-    def test_transient_memory_does_not_grow_with_the_image(self, shape, c_out):
-        # Planes of 4096 pixels keep the XORs, counts and sums at about
-        # 1.3 MiB for c_out = 28 and 5.4 MiB for c_out = 112; one block
-        # spanning a 256x256 image would hold about 19 MiB.
+    def test_transient_memory_does_not_grow_with_the_image(self, monkeypatch, shape, c_out):
+        # Each worker's chunk has its own block buffers: per pixel of a
+        # 4096-pixel plane, the XOR (8 B), count (1 B) and sum (up to 2 B)
+        # of every output channel, and the patch words plus one scratch
+        # word. That is about 1.4 MiB for c_out = 28 and 5.3 MiB for
+        # c_out = 112 per worker; one block spanning a 256x256 image would
+        # hold about 19 MiB.
         rng = np.random.default_rng(17)
         x = pack(sign(rng.standard_normal(shape).astype(np.float32)))
         w = pack(sign(rng.standard_normal((c_out, shape[1], 3, 3)).astype(np.float32)))
-        tracemalloc.start()
-        try:
-            y = bit_conv2d(x, w, out_dtype=np.int16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         padded = (shape[2] + 2) * (shape[3] + 2) * x.words.shape[-1] * x.words.itemsize
-        assert peak - y.nbytes < padded + 8 * 2**20
+        block = bitpack._BLOCK_OUTPUTS * (11 * c_out + 8 * (words_per_row(9 * shape[1]) + 1))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(split, "cpu_count", lambda: workers)
+            tracemalloc.start()
+            try:
+                y = bit_conv2d(x, w, out_dtype=np.int16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - y.nbytes < padded + workers * block + 2**20
 
 
 class TestIntegerOutput:

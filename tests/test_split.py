@@ -1,0 +1,325 @@
+"""The block runner and the 1-bit passes that use it.
+
+``split.run_split`` runs a call's row blocks in contiguous chunks, one per
+CPU. These tests pin how it chunks, the cases it runs inline, how errors
+and forks reach it, that it holds nothing once it returns, and that the
+bytes of every split pass do not depend on the number of workers. Each
+test sets that number by replacing ``split.cpu_count``, so none depends
+on the host's CPUs.
+"""
+
+import ast
+import multiprocessing
+import pathlib
+import sys
+import threading
+import time
+import warnings
+import weakref
+
+import numpy as np
+import pytest
+from test_tensor import assert_gc_count_flat
+
+from bisrnet import bitpack, layers, split
+from bisrnet.binarize import sign
+from bisrnet.bitpack import bit_conv2d, pack
+from bisrnet.errors import ArgumentError
+from bisrnet.layers import BiSRConv
+from bisrnet.network import NetworkConfig, build
+
+WORKERS = (1, 2, 3)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bisrnet"
+
+
+def set_workers(monkeypatch, k):
+    monkeypatch.setattr(split, "cpu_count", lambda: k)
+
+
+def record_chunks(n_items):
+    """Runs a split call over n_items and returns its chunks as (lo, hi,
+    thread, scratch) and the threads that made each scratch."""
+    chunks, makers, lock = [], [], threading.Lock()
+
+    def scratch():
+        makers.append(threading.get_ident())
+        return object()
+
+    def fn(lo, hi, buf):
+        time.sleep(0.01)  # long enough for every helper to take its chunk
+        with lock:
+            chunks.append((lo, hi, threading.get_ident(), buf))
+
+    split.run_split(fn, n_items, scratch)
+    return sorted(chunks, key=lambda c: c[0]), makers
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 5, 7])
+@pytest.mark.parametrize("k", WORKERS)
+def test_chunks_are_contiguous_one_per_worker(monkeypatch, k, n_items):
+    set_workers(monkeypatch, k)
+    chunks, makers = record_chunks(n_items)
+    me = threading.get_ident()
+    assert len(chunks) == min(k, n_items)
+    assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+    assert chunks[-1][1] == n_items and all(hi > lo for lo, hi, _, _ in chunks)
+    # The caller runs the first chunk and makes every chunk's own scratch.
+    assert chunks[0][2] == me and makers == [me] * len(chunks)
+    assert len({c[2] for c in chunks}) == len(chunks)
+    assert len({id(c[3]) for c in chunks}) == len(chunks)
+
+
+def test_nested_call_runs_inline(monkeypatch):
+    set_workers(monkeypatch, 2)
+    inner = []
+
+    def fn(lo, hi, buf):
+        split.run_split(lambda a, b, _: inner.append((a, b, threading.get_ident())), 4, list)
+        inner.append(threading.get_ident())
+
+    # A call that waited for the dispatch lock it holds would never end.
+    outer = threading.Thread(target=split.run_split, args=(fn, 2, list), daemon=True)
+    outer.start()
+    outer.join(timeout=30)
+    assert not outer.is_alive()
+    pairs = [c for c in inner if isinstance(c, tuple)]
+    assert sorted(p[:2] for p in pairs) == [(0, 4), (0, 4)]
+    # Each inner call ran whole in the thread of the chunk that made it.
+    assert {p[2] for p in pairs} == {t for t in inner if not isinstance(t, tuple)}
+
+
+def test_concurrent_forwards_give_single_thread_bytes(monkeypatch):
+    shape = (1, 28, 128, 128)
+    x = np.random.default_rng(2).standard_normal(shape).astype(np.float32)
+    set_workers(monkeypatch, 1)
+    want = BiSRConv(28, np.random.default_rng(1)).forward(x)
+    set_workers(monkeypatch, 3)
+    got, barrier = {}, threading.Barrier(2)
+
+    def run(i):
+        layer = BiSRConv(28, np.random.default_rng(1))
+        barrier.wait()
+        got[i] = [layer.forward(x) for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for outs in got.values():
+        for out in outs:
+            assert out.strides == want.strides and out.tobytes() == want.tobytes()
+    assert len(got) == 2
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["caller", "helper"])
+def test_error_reaches_the_caller_after_every_chunk_ended(monkeypatch, bad):
+    set_workers(monkeypatch, 3)
+    ended = []
+
+    def fn(lo, hi, buf):
+        if lo == bad:
+            raise ValueError(f"chunk {bad}")
+        if lo == 2:
+            time.sleep(0.05)
+        ended.append(lo)
+
+    with pytest.raises(ValueError, match=f"chunk {bad}"):
+        split.run_split(fn, 3, list)
+    assert sorted(ended) == [c for c in (0, 1, 2) if c != bad]
+    chunks, _ = record_chunks(3)
+    assert [c[:2] for c in chunks] == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_nan_in_a_helper_chunk_raises_and_the_next_forward_works(monkeypatch):
+    layer = BiSRConv(28, np.random.default_rng(3))
+    x = np.random.default_rng(4).standard_normal((1, 28, 64, 64)).astype(np.float32)
+    set_workers(monkeypatch, 1)
+    want = layer.forward(x)
+    set_workers(monkeypatch, 2)
+    # Two row blocks: the helper's chunk is the second, rows 36 to 63.
+    blocks = list(layers._blocks(1, 64, layers._block_rows(1, 64, 64 * 28)))
+    assert len(blocks) == 2 and blocks[1][1].start == 36
+    bad = x.copy()
+    bad[0, 5, 60, 10] = np.nan
+    with pytest.raises(ArgumentError):
+        layer.forward(bad)
+    assert layer.forward(x).tobytes() == want.tobytes()
+
+
+def fork_child(conn):
+    """Reports the threads that ran the chunks of a two-chunk split call."""
+    threads = set()
+    split.run_split(lambda lo, hi, _: threads.add(threading.get_ident()), 2, list)
+    conn.send(len(threads))
+
+
+def test_fork_child_starts_its_own_helpers(monkeypatch):
+    set_workers(monkeypatch, 2)
+    record_chunks(2)  # the parent now has a helper thread
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    with warnings.catch_warnings():
+        # Newer Pythons warn that fork() in a threaded process may deadlock.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = ctx.Process(target=fork_child, args=(send,))
+        child.start()
+    try:
+        child.join(timeout=30)
+        assert not child.is_alive()
+        assert child.exitcode == 0 and recv.poll() and recv.recv() == 2
+    finally:
+        if child.is_alive():
+            child.kill()
+        recv.close()
+        send.close()
+
+
+def test_split_call_holds_no_reference_once_it_returns(monkeypatch):
+    set_workers(monkeypatch, 2)
+    layer = BiSRConv(28, np.random.default_rng(5))
+    x = np.random.default_rng(6).standard_normal((1, 28, 64, 64)).astype(np.float32)
+    with layers.inference():
+        layer.forward(x)
+    ref = weakref.ref(x)
+    del x
+    assert ref() is None
+    # bit_conv2d's blocks write into the memory the returned view is of.
+    xb = pack(sign(np.random.default_rng(7).standard_normal((1, 28, 128, 128))))
+    y = bit_conv2d(xb, pack(sign(layer.weight.value)), out_dtype=np.int16)
+    ref = weakref.ref(y.base)
+    del y
+    assert ref() is None
+
+
+def test_no_module_imports_a_process_pool_or_executor():
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("concurrent", "multiprocessing"), path.name
+
+
+def bytes_at_each_worker_count(monkeypatch, call):
+    """call() at 1, 2 and 3 workers; asserts the same bytes and strides."""
+    outs = []
+    for k in WORKERS:
+        set_workers(monkeypatch, k)
+        outs.append(call())
+    for out in outs[1:]:
+        assert out.strides == outs[0].strides and out.tobytes() == outs[0].tobytes()
+
+
+# Every BiSRConv input shape of a 256x256, C=28 reconstruction.
+RECON_BISR_SHAPES = [(1, 28, 256, 256), (1, 28, 128, 128), (1, 56, 128, 128),
+                     (1, 56, 64, 64), (1, 112, 64, 64)]
+
+
+@pytest.mark.parametrize("shape", RECON_BISR_SHAPES, ids=str)
+def test_bit_conv2d_bytes_do_not_depend_on_workers(monkeypatch, shape):
+    rng = np.random.default_rng(shape[1] + shape[2])
+    x = pack(sign(rng.standard_normal(shape)))
+    w = pack(sign(rng.standard_normal((shape[1], shape[1], 3, 3))))
+    bytes_at_each_worker_count(monkeypatch, lambda: bit_conv2d(x, w, out_dtype=np.int16))
+    bytes_at_each_worker_count(monkeypatch, lambda: bit_conv2d(x, w, scale=0.37))
+
+
+# test_bitconv.py's TestPlaneBlocks shapes, with the same block rows.
+PLANE_BLOCK_CASES = [
+    (3, 28, 5, 3, 1, 1, 13, 11, 2),
+    (3, 70, 5, 3, 1, 1, 13, 11, 4),
+    (2, 28, 64, 3, 1, 1, 9, 10, None),
+    (2, 65, 70, 3, 1, 1, 9, 10, 2),
+    (3, 29, 6, 4, 2, 1, 14, 15, 2),
+    (1, 28, 67, 4, 2, 1, 16, 16, 3),
+]
+
+
+@pytest.mark.parametrize("n,c_in,c_out,k,stride,pad,h,w,rows", PLANE_BLOCK_CASES)
+def test_plane_block_bytes_do_not_depend_on_workers(monkeypatch, n, c_in, c_out, k, stride,
+                                                    pad, h, w, rows):
+    rng = np.random.default_rng(c_in * c_out + n)
+    x = pack(sign(rng.standard_normal((n, c_in, h, w))))
+    wt = pack(sign(rng.standard_normal((c_out, c_in, k, k))))
+    if rows is not None:
+        wo = (w + 2 * pad - k) // stride + 1
+        monkeypatch.setattr(bitpack, "_BLOCK_OUTPUTS", rows * n * wo)
+    bytes_at_each_worker_count(
+        monkeypatch, lambda: bit_conv2d(x, wt, stride=stride, pad=pad, out_dtype=np.int16))
+
+
+@pytest.mark.parametrize("channels_last", [False, True])
+def test_large_bisr_forward_does_not_depend_on_workers(monkeypatch, channels_last):
+    rng = np.random.default_rng(8)
+    layer = BiSRConv(28, rng)
+    for p in layer.params():
+        p.value += (rng.standard_normal(p.value.shape) * 0.1).astype(p.value.dtype)
+    x = rng.standard_normal((1, 256, 256, 28)).astype(np.float32).transpose(0, 3, 1, 2)
+    if not channels_last:
+        x = np.ascontiguousarray(x)
+    with layers.inference():
+        bytes_at_each_worker_count(monkeypatch, lambda: layer.forward(x))
+
+
+def test_training_step_does_not_depend_on_workers(monkeypatch):
+    # Two images of 64x64: the pack and epilogue blocks split, and so
+    # does the kernel. The cached int16 sums and the gradients match.
+    rng = np.random.default_rng(9)
+    layer = BiSRConv(28, rng)
+    x = rng.standard_normal((2, 28, 64, 64)).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+
+    def step():
+        for p in layer.params():
+            p.zero_grad()
+        out = layer.forward(x)
+        raw = layer._cache[4]
+        gx = layer.backward(g)
+        return np.concatenate([a.ravel().view(np.uint8) for a in
+                               [out, raw, gx] + [p.grad for p in layer.params()]])
+
+    bytes_at_each_worker_count(monkeypatch, step)
+
+
+def test_network_forward_does_not_depend_on_workers(monkeypatch):
+    net = build(NetworkConfig.bisrnet(base_channels=8, n_wavelengths=8), seed=10)
+    rng = np.random.default_rng(11)
+    h_in, m_in = (rng.random((1, 8, 64, 64)).astype(np.float32) for _ in range(2))
+    with layers.inference():
+        bytes_at_each_worker_count(monkeypatch, lambda: net.forward(h_in, m_in))
+
+
+def test_split_passes_leave_the_gc_allocation_count_flat(monkeypatch):
+    set_workers(monkeypatch, 2)
+
+    def assert_flat(call):
+        # A fresh process's first hundred calls of bit_conv2d at 256x256
+        # move the count by about 1950, before this runner too: the 1-tuples
+        # of np.moveaxis fill the interpreter's free list for them, which
+        # holds 2000. Once it is full the count stays flat.
+        for _ in range(100):
+            call()
+        assert_gc_count_flat(call)
+
+    rng = np.random.default_rng(12)
+    for shape in [(1, 28, 256, 256), (1, 112, 64, 64)]:
+        x = pack(sign(rng.standard_normal(shape)))
+        w = pack(sign(rng.standard_normal((shape[1], shape[1], 3, 3))))
+        assert_flat(lambda: bit_conv2d(x, w, out_dtype=np.int16))
+    layer = BiSRConv(28, rng)
+    x = rng.standard_normal((1, 28, 256, 256)).astype(np.float32)
+    raw = bit_conv2d(layer._sign_pack(x), pack(sign(layer.weight.value)), out_dtype=np.int16)
+    scale = np.asarray(0.5, np.float32)
+    assert_flat(lambda: layer._sign_pack(x))
+    assert_flat(lambda: layer._residual_rprelu(x, scale, raw))
