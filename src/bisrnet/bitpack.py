@@ -47,13 +47,15 @@ where a per-pixel broadcast against the c_out weight words would run an
 inner loop only c_out long. The sums land in a (c_out, pixels) array and
 are written to the channel-last result once per block.
 
-Row blocks share no state: each one writes only its own output rows. So
-:func:`bit_conv2d` hands its blocks to :func:`split.run_split`, which runs
-contiguous runs of them on every CPU in the process's affinity mask, each
-run with its own buffers, and the output bytes do not depend on the number
-of CPUs. A call of fewer blocks than CPUs takes smaller blocks, down to
-half a plane: the 64x64 layers of a reconstruction then split too, while a
-(2, 8, 32, 32) training call stays one block and runs inline.
+A row block is a run of output rows across all n images, the one block
+scheme of every 1-bit pass. Blocks share no state: each one writes only
+its own output rows. So :func:`bit_conv2d` hands its block body to
+:func:`split.run_rows`, which runs contiguous runs of blocks on every CPU
+in the process's affinity mask, each run with its own buffers, and the
+output bytes do not depend on the number of CPUs. A call of fewer blocks
+than CPUs takes smaller blocks, down to half a plane: the 64x64 layers of
+a reconstruction then split too, while a (2, 8, 32, 32) training call
+stays one block and runs inline.
 """
 
 from dataclasses import dataclass
@@ -112,11 +114,23 @@ class BitTensor:
     """A {-1,+1} tensor stored 1 bit per element.
 
     words has shape (n, h, w, words_per_row(c)), packed along channels;
-    shape records the logical (n, c, h, w) extent.
+    shape records the logical (n, c, h, w) extent. Words of any other shape
+    raise DimensionError, which numpy would otherwise broadcast.
     """
 
     shape: tuple
     words: np.ndarray
+
+    def __post_init__(self):
+        want = None
+        if len(self.shape) == 4:
+            n, c, h, w = self.shape
+            want = (n, h, w, words_per_row(c))
+        if np.shape(self.words) != want:
+            raise DimensionError(
+                f"a BitTensor of shape {tuple(self.shape)} needs words of shape {want}, "
+                f"got {np.shape(self.words)}"
+            )
 
     @property
     def packed_bytes(self):
@@ -202,6 +216,10 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
         raise DimensionError(f"weight kernel must be square, got {k}x{k2}")
     if wc_in != c_in:
         raise DimensionError(f"input has {c_in} channels, weight expects {wc_in}")
+    if stride < 1:
+        raise ArgumentError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ArgumentError(f"pad must be >= 0, got {pad}")
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wd + 2 * pad - k) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -256,42 +274,40 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
                 np.empty((c_out, px), np.uint64), np.empty((c_out, px), np.uint8),
                 np.empty((c_out, px), acc_dtype))
 
-    def run_blocks(lo, hi, bufs):
-        planes, ptmp, xor, count, acc = bufs
-        for r0 in range(lo * rows, min(ho, hi * rows), rows):
-            m = min(rows, ho - r0)
-            # The first n*m*wo words of each buffer row, so a partial last
-            # block still has contiguous planes.
-            px = n * m * wo
-            planes_m, xor_m = planes[:, :px], xor[:, :px]
-            count_m, acc_m = count[:, :px], acc[:, :px]
-            planes_m.fill(0)
-            patch_m = np.moveaxis(planes_m.reshape(nw, n, m, wo), 0, -1)
-            ptmp_m = ptmp[:px].reshape(n, m, wo)
-            for dy, dx, j, bit, valid in fields:
-                y0 = stride * r0 + dy
-                view = xp[:, y0 : y0 + stride * (m - 1) + 1 : stride, dx : dx + col_end : stride, j]
-                _place_field(patch_m, view, bit, valid, ptmp_m)
-            for q in range(nw):
-                np.bitwise_xor(planes_m[q], wpatch[q, :, None], out=xor_m)
-                if q == 0:
-                    np.bitwise_count(xor_m, out=acc_m)
-                else:
-                    np.bitwise_count(xor_m, out=count_m)
-                    np.add(acc_m, count_m, out=acc_m)
-            # The sums are small integers, so n_bits - 2 * acc is exact in
-            # float32, float64 and any signed type that holds n_bits: where
-            # -2 * acc wraps, adding n_bits wraps it back. Later sums and
-            # GEMMs round in memory order, so the (n, ho, wo, c_out) order
-            # is part of the network's bit-exact output.
-            out_m = out[:, r0 : r0 + m]
-            np.multiply(np.moveaxis(acc_m.reshape(c_out, n, m, wo), 0, -1), out.dtype.type(-2),
-                        out=out_m)
-            np.add(out_m, out.dtype.type(n_bits), out=out_m)
+    def block(r0, r1, planes, ptmp, xor, count, acc):
+        # The first n*m*wo words of each buffer row, so a partial last
+        # block still has contiguous planes.
+        m = r1 - r0
+        px = n * m * wo
+        planes_m, xor_m = planes[:, :px], xor[:, :px]
+        count_m, acc_m = count[:, :px], acc[:, :px]
+        planes_m.fill(0)
+        patch_m = np.moveaxis(planes_m.reshape(nw, n, m, wo), 0, -1)
+        ptmp_m = ptmp[:px].reshape(n, m, wo)
+        for dy, dx, j, bit, valid in fields:
+            y0 = stride * r0 + dy
+            view = xp[:, y0 : y0 + stride * (m - 1) + 1 : stride, dx : dx + col_end : stride, j]
+            _place_field(patch_m, view, bit, valid, ptmp_m)
+        for q in range(nw):
+            np.bitwise_xor(planes_m[q], wpatch[q, :, None], out=xor_m)
+            if q == 0:
+                np.bitwise_count(xor_m, out=acc_m)
+            else:
+                np.bitwise_count(xor_m, out=count_m)
+                np.add(acc_m, count_m, out=acc_m)
+        # The sums are small integers, so n_bits - 2 * acc is exact in
+        # float32, float64 and any signed type that holds n_bits: where
+        # -2 * acc wraps, adding n_bits wraps it back. Later sums and GEMMs
+        # round in memory order, so the (n, ho, wo, c_out) order is part of
+        # the network's bit-exact output.
+        out_m = out[:, r0:r1]
+        np.multiply(np.moveaxis(acc_m.reshape(c_out, n, m, wo), 0, -1), out.dtype.type(-2),
+                    out=out_m)
+        np.add(out_m, out.dtype.type(n_bits), out=out_m)
 
     # Each block writes only its own output rows, so the blocks run split
     # over the CPUs with the bytes of one serial pass.
-    split.run_split(run_blocks, -(-ho // rows), scratch)
+    split.run_rows(block, ho, rows, scratch)
     if scale != 1.0:
         np.multiply(out, np.asarray(scale, dtype=out_dtype), out=out)
     return out.transpose(0, 3, 1, 2)

@@ -67,13 +67,15 @@ The 1-bit layers run their elementwise forward in row blocks of about
 full-size temporary exists besides the output and the cached sums. One
 pass per block redistributes (BiSRConv only), signs and packs the input;
 after the kernel, BiSRConv's one pass per block computes
-``x + rprelu(scale * raw)`` straight into the output. Blocks are whole
-rows of channel-last memory, and the per-channel parameters are tiled w
-times, so each ufunc runs rows w*c long, not c. BiSRConv's output is
-channel-last when it holds at least 256 KiB or when x is channel-last,
-and takes x's memory order otherwise.
+``x + rprelu(scale * raw)`` straight into the output. A block is a run of
+rows across all n images, the kernel's block scheme too: the slice
+``[:, r0:r1]`` of the channel-last (n, h, w, c) view, with the per-channel
+parameters tiled w times, so each ufunc runs rows w*c long, not c. Its
+buffers are the first r1 - r0 rows, ``[:, :r1 - r0]``, of (n, rows, w, ...)
+scratch. BiSRConv's output is channel-last when it holds at least 256 KiB
+or when x is channel-last, and takes x's memory order otherwise.
 
-Both passes hand their block list to :func:`split.run_split`, which runs
+Both passes hand their block body to :func:`split.run_rows`, which runs
 contiguous runs of blocks on every CPU in the process's affinity mask,
 each run with its own buffers, as the kernel does with its row blocks. A
 block writes only its own rows of the packed words or of the output, so
@@ -254,31 +256,9 @@ _INT16_FAN_IN = np.iinfo(np.int16).max
 
 
 def _block_rows(n, h, row_elems):
-    """Rows per block: as many rows of ``row_elems`` elements as fit in
-    _BLOCK_ELEMS, at least one and at most n*h."""
-    return min(n * h, max(1, _BLOCK_ELEMS // row_elems))
-
-
-def _blocks(n, h, rows):
-    """(images, rows) index pairs that cover an (n, h) grid of rows in
-    blocks of at most ``rows`` rows: groups of whole images where an image
-    fits in a block, else runs of rows of one image. Every block is then a
-    plain slice of an (n, h, w, c) view, and every buffer row block
-    ``buf[:k*m]`` of a (rows, w, ...) buffer reshapes to it."""
-    if rows >= h:
-        for i in range(0, n, rows // h):
-            yield slice(i, i + rows // h), slice(None)
-    else:
-        for i in range(n):
-            for r in range(0, h, rows):
-                yield slice(i, i + 1), slice(r, r + rows)
-
-
-def _block_of(buf, like):
-    """The first rows of a (rows, w, ...) buffer, shaped as the (k, m, w,
-    ...) block ``like``."""
-    k, m = like.shape[:2]
-    return buf[: k * m].reshape((k, m) + buf.shape[1:])
+    """Rows per block: as many rows of ``row_elems`` elements in each of n
+    images as fit in _BLOCK_ELEMS, at least one and at most h."""
+    return min(h, max(1, _BLOCK_ELEMS // (n * row_elems)))
 
 
 def _tile_w(p, w):
@@ -394,26 +374,23 @@ class VanillaBinConv(_Conv):
         rows against the parameters tiled w times."""
         n, c, h, w = x.shape
         rows = _block_rows(n, h, w * c)
-        blocks = list(_blocks(n, h, rows))
         xv = x.transpose(0, 2, 3, 1)
         words = np.empty((n, h, w, bitpack.words_per_row(c)), np.uint64)
         if self.gain is not None:
             gain, shift = (_tile_w(p.value, w) for p in (self.gain, self.shift))
 
         def scratch():
-            bits = np.zeros((rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
-            return bits, None if self.gain is None else np.empty((rows, w, c), x.dtype)
+            bits = np.zeros((n, rows, w, words.shape[-1] * bitpack.WORD_BITS), bool)
+            return bits, None if self.gain is None else np.empty((n, rows, w, c), x.dtype)
 
-        def run_blocks(lo, hi, bufs):
-            bits, xr = bufs
-            for blk in blocks[lo:hi]:
-                xb = xv[blk]
-                if xr is not None:
-                    xb = np.multiply(gain, xb, out=_block_of(xr, xb))
-                    xb += shift
-                words[blk] = bitpack.sign_words(xb, _block_of(bits, xb))
+        def block(r0, r1, bits, xr):
+            xb = xv[:, r0:r1]
+            if xr is not None:
+                xb = np.multiply(gain, xb, out=xr[:, : r1 - r0])
+                xb += shift
+            words[:, r0:r1] = bitpack.sign_words(xb, bits[:, : r1 - r0])
 
-        split.run_split(run_blocks, len(blocks), scratch)
+        split.run_rows(block, h, rows, scratch)
         return bitpack.BitTensor(shape=x.shape, words=words)
 
     def _operands(self, xr, w_sign, surrogate, alpha):
@@ -545,23 +522,19 @@ class BiSRConv(VanillaBinConv):
         else:
             out = np.empty_like(x)
         rows = _block_rows(n, h, w * c)
-        blocks = list(_blocks(n, h, rows))
         params = (self.beta.value, self.gamma.value, self.zeta.value)
         prm = _rprelu_params(*(_tile_w(p, w) for p in params), x.dtype, (w, c))
         xv, rv, ov = (a.transpose(0, 2, 3, 1) for a in (x, raw, out))
 
         def scratch():
-            return np.empty((rows, w, c), x.dtype), np.empty((rows, w, c), prm[0].dtype)
+            return np.empty((n, rows, w, c), x.dtype), np.empty((n, rows, w, c), prm[0].dtype)
 
-        def run_blocks(lo, hi, bufs):
-            y, factor = bufs
-            for blk in blocks[lo:hi]:
-                xb = xv[blk]
-                yb = np.multiply(scale, rv[blk], out=_block_of(y, xb))
-                _rprelu_into(yb, yb, _block_of(factor, xb), *prm)
-                np.add(xb, yb, out=ov[blk])
+        def block(r0, r1, y, factor):
+            yb = np.multiply(scale, rv[:, r0:r1], out=y[:, : r1 - r0])
+            _rprelu_into(yb, yb, factor[:, : r1 - r0], *prm)
+            np.add(xv[:, r0:r1], yb, out=ov[:, r0:r1])
 
-        split.run_split(run_blocks, len(blocks), scratch)
+        split.run_rows(block, h, rows, scratch)
         return out
 
     def forward(self, x):

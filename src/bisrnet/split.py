@@ -1,29 +1,32 @@
-"""Runs the independent blocks of one call on every CPU the process may use.
+"""Runs the row blocks of one 1-bit pass on every CPU the process may use.
 
-:func:`run_split` takes a call's block list as ``range(n_items)`` and
-splits it into contiguous chunks, one per CPU in the process's affinity
-mask (:func:`cpu_count`) and never more than one per block. The calling
-thread runs the first chunk; one helper thread per other CPU runs the
-rest, and the caller waits for all of them before it returns. A block
-must write only its own part of the output, so that the bytes do not
-depend on how many chunks ran. The numpy calls that make up a block
-release the interpreter lock, so the chunks overlap.
+A pass over an (n, h, ...) array is cut into row blocks: a block is a run
+of ``rows`` rows across all n images, [r0, r1) with r1 - r0 = rows except
+at the end. :func:`run_rows` owns the block loop. It splits the blocks
+into contiguous chunks, one per CPU in the process's affinity mask
+(:func:`cpu_count`) and never more than one per block, and calls
+``body(r0, r1, *bufs)`` for each block of a chunk. The calling thread runs
+the first chunk; one helper thread per other CPU runs the rest, and the
+caller waits for all of them before it returns. A block must write only
+its own rows of the output, so that the bytes do not depend on how many
+chunks ran. The numpy calls that make up a block release the interpreter
+lock, so the chunks overlap.
 
-- Scratch: ``scratch()`` is called in the calling thread once per chunk,
-  so every chunk gets its own buffers and the helpers allocate almost
-  nothing.
+- Scratch: ``scratch()`` is called in the calling thread once per chunk
+  and returns the chunk's buffers, so the helpers allocate almost nothing.
 - Inline: with one CPU, one block, or the dispatch lock held (another
-  thread's split call, or a nested one from inside a chunk), ``fn`` runs
-  the whole range in the calling thread.
+  thread's call, or a nested one from inside a block), every block runs
+  in the calling thread.
 - Errors: an exception raised in any chunk reaches the caller after every
   chunk has ended, so no helper still writes into the output.
-- References: a helper drops its chunk's closure and scratch before it
-  signals that it is done, so a split call holds nothing once it returns.
+- References: a helper drops its chunk's body and scratch before it
+  signals that it is done, so a call holds nothing once it returns.
 - Fork: the child of a fork starts with no helpers and a free dispatch
-  lock; its first split call starts its own helpers.
+  lock; its first call starts its own helpers.
 
 Helpers are daemon threads, started by the first call that needs them and
 kept for later calls. Each waits on a "go" lock and releases a "done" lock.
+This is the one module that imports ``threading`` or ``_thread``.
 """
 
 import _thread
@@ -82,18 +85,28 @@ def _forget_helpers():
 os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def run_split(fn, n_items, scratch):
-    """Runs ``fn(lo, hi, scratch())`` over contiguous chunks [lo, hi) that
-    cover range(n_items), one chunk per CPU, the first in the calling
-    thread. Returns when every chunk has ended; if chunks raised, raises
+def _run_blocks(body, start, stop, rows, bufs):
+    """Calls ``body(r0, r1, *bufs)`` for the blocks of ``rows`` rows that
+    cover [start, stop), the last one shorter where rows does not divide."""
+    for r0 in range(start, stop, rows):
+        body(r0, min(r0 + rows, stop), *bufs)
+
+
+def run_rows(body, h, rows, scratch):
+    """Runs ``body(r0, r1, *bufs)`` over the blocks of ``rows`` rows that
+    cover range(h), in contiguous chunks of blocks, one chunk per CPU, the
+    first in the calling thread; ``bufs = scratch()`` is made once per
+    chunk. Returns when every chunk has ended; if chunks raised, raises
     the exception of the first of them in block order."""
-    n = min(n_items, cpu_count()) if n_items > 1 else 1
+    n_blocks = -(-h // rows)
+    n = min(n_blocks, cpu_count()) if n_blocks > 1 else 1
     if n < 2 or not _dispatch.acquire(blocking=False):
-        fn(0, n_items, scratch())
+        _run_blocks(body, 0, h, rows, scratch())
         return
     try:
-        bounds = [i * n_items // n for i in range(n + 1)]
-        jobs = [functools.partial(fn, lo, hi, scratch()) for lo, hi in zip(bounds, bounds[1:])]
+        bounds = [min(h, i * n_blocks // n * rows) for i in range(n + 1)]
+        jobs = [functools.partial(_run_blocks, body, lo, hi, rows, scratch())
+                for lo, hi in zip(bounds, bounds[1:])]
         while len(_helpers) < n - 1:
             _helpers.append(_Helper())
         helpers = _helpers[: n - 1]

@@ -232,7 +232,14 @@ def avg_pool2x2(x):
 
 
 def avg_pool2x2_backward(grad_out, in_shape):
-    n, c, ho, wo = grad_out.shape
+    """Adjoint of :func:`avg_pool2x2`. ``grad_out`` must be (n, c, h/2,
+    w/2) for ``in_shape`` (n, c, h, w); an odd h or w has no such shape."""
+    n, c, h, w = in_shape
+    if grad_out.shape != (n, c, h / 2, w / 2):
+        raise DimensionError(
+            f"grad_out {grad_out.shape} is not the 2x2 pool of input {tuple(in_shape)}"
+        )
+    ho, wo = h // 2, w // 2
     g = grad_out[:, :, :, None, :, None] * np.asarray(0.25, dtype=grad_out.dtype)
     g = np.broadcast_to(g, (n, c, ho, 2, wo, 2))
     return g.reshape(in_shape)

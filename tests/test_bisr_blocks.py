@@ -87,18 +87,20 @@ def test_forward_matches_unfused(case, surrogate):
     assert_same(got, unfused(layer, x, surrogate))
 
 
-# Block budgets for a (3, 4, 7, 9) input, whose rows hold 36 elements:
-# runs of 3 rows (blocks of 3, 3, 1 rows per image) and pairs of whole
-# images (blocks of 2 images, then 1).
-@pytest.mark.parametrize("block_elems,last_block", [(3 * 36, (1, 1)), (2 * 7 * 36, (1, 7))])
+# Block budgets for a (3, 4, 17, 3) input, whose rows hold 12 elements per
+# image and 36 across the three: a block is a run of rows across all three
+# images, 3 rows (3, 3, 3, 3, 3, 2) or 14 rows (14, 3).
+BLOCK_SHAPE = (3, 4, 17, 3)
+
+
+@pytest.mark.parametrize("block_elems,last_block", [(3 * 36, (3, 2)), (14 * 36, (3, 3))])
 @pytest.mark.parametrize("channels_last", [False, True])
 @pytest.mark.parametrize("surrogate", [False, True])
 def test_partial_last_block(monkeypatch, block_elems, last_block, channels_last, surrogate):
     monkeypatch.setattr(layers, "_BLOCK_ELEMS", block_elems)
-    n, c, h, w = shape = (3, 4, 7, 9)
-    blocks = list(layers._blocks(n, h, layers._block_rows(n, h, w * c)))
-    imgs, rows = blocks[-1]
-    assert (len(range(n)[imgs]), len(range(h)[rows])) == last_block
+    n, c, h, w = shape = BLOCK_SHAPE
+    rows = layers._block_rows(n, h, w * c)
+    assert (n, (h - 1) % rows + 1) == last_block
     layer = perturbed_layer(c, np.float32, seed=41)
     x = make_x(shape, channels_last, np.float32, seed=42)
     with layers.surrogate(surrogate):
@@ -110,14 +112,14 @@ def test_partial_last_block(monkeypatch, block_elems, last_block, channels_last,
 VANILLA_GEOMETRIES = pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 1, 1), (4, 2, 1)])
 
 
-@pytest.mark.parametrize("block_elems", [3 * 36, 2 * 7 * 36])
+@pytest.mark.parametrize("block_elems", [3 * 36, 14 * 36])
 @pytest.mark.parametrize("channels_last", [False, True])
 @VANILLA_GEOMETRIES
 def test_vanilla_partial_last_block(monkeypatch, block_elems, channels_last, k, stride, pad):
     monkeypatch.setattr(layers, "_BLOCK_ELEMS", block_elems)
     rng = np.random.default_rng(43)
     layer = VanillaBinConv(4, 6, k, stride, pad, rng)
-    x = make_x((3, 4, 7, 9), channels_last, np.float32, seed=44)
+    x = make_x(BLOCK_SHAPE, channels_last, np.float32, seed=44)
     layer.forward(x)
     want = conv2d_ref(sign(x), sign(layer.weight.value), stride=stride, pad=pad, pad_value=-1.0)
     np.testing.assert_array_equal(layer._cache[4], want)

@@ -14,7 +14,7 @@ from bisrnet.bitpack import (
     unpack,
     words_per_row,
 )
-from bisrnet.errors import ArgumentError, DomainError
+from bisrnet.errors import ArgumentError, DimensionError, DomainError
 from bisrnet.tensor import conv2d_ref
 
 
@@ -121,6 +121,32 @@ class TestBitConv2d:
     def test_rejects_dense_arrays(self):
         with pytest.raises(ArgumentError):
             bit_conv2d(np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("name,value", [("stride", 0), ("stride", -2), ("pad", -1)])
+    def test_rejects_stride_below_one_and_negative_pad(self, name, value):
+        x = pack(np.ones((1, 8, 6, 6), np.float32))
+        w = pack(np.ones((4, 8, 3, 3), np.float32))
+        with pytest.raises(ArgumentError, match=f"{name} must be .*got {value}$"):
+            bit_conv2d(x, w, **{name: value})
+
+
+class TestBitTensorShape:
+    # Words broadcast against the other operand: (1, 1, 1, 1) words for a
+    # (1, 8, 6, 6) input gave a (1, 4, 6, 6) result, and one output
+    # channel's weight words gave all four channels the same sums.
+    @pytest.mark.parametrize("shape,words_shape", [
+        ((1, 8, 6, 6), (1, 1, 1, 1)), ((1, 8, 6, 6), (1, 6, 6, 2)), ((1, 8, 6, 6), (6, 6, 1)),
+        ((4, 8, 3, 3), (1, 3, 3, 1)), ((4, 8, 3, 3), (4, 3, 3)), ((4, 65, 3, 3), (4, 3, 3, 1)),
+    ], ids=["input-one-word", "input-extra-word", "input-3d", "weight-one-channel",
+            "weight-3d", "weight-65-channels"])
+    def test_words_of_another_shape_rejected(self, shape, words_shape):
+        with pytest.raises(DimensionError) as err:
+            BitTensor(shape, np.zeros(words_shape, np.uint64))
+        assert str(shape) in str(err.value) and str(words_shape) in str(err.value)
+
+    def test_shape_other_than_4d_rejected(self):
+        with pytest.raises(DimensionError):
+            BitTensor((8, 6, 6), np.zeros((6, 6, 1), np.uint64))
 
 
 # (kernel, stride, pad): the network's three binarized kernels (3x3, the

@@ -1,11 +1,12 @@
 """The block runner and the 1-bit passes that use it.
 
-``split.run_split`` runs a call's row blocks in contiguous chunks, one per
-CPU. These tests pin how it chunks, the cases it runs inline, how errors
-and forks reach it, that it holds nothing once it returns, and that the
-bytes of every split pass do not depend on the number of workers. Each
-test sets that number by replacing ``split.cpu_count``, so none depends
-on the host's CPUs.
+``split.run_rows`` cuts a pass into row blocks and runs them in contiguous
+chunks, one per CPU. These tests pin how it cuts and chunks, the cases it
+runs inline, how errors and forks reach it, that it holds nothing once it
+returns, how many blocks each benchmark shape takes, and that the bytes of
+every split pass do not depend on the number of workers. Each test sets
+that number by replacing ``split.cpu_count``, so none depends on the
+host's CPUs.
 """
 
 import ast
@@ -36,56 +37,76 @@ def set_workers(monkeypatch, k):
     monkeypatch.setattr(split, "cpu_count", lambda: k)
 
 
-def record_chunks(n_items):
-    """Runs a split call over n_items and returns its chunks as (lo, hi,
-    thread, scratch) and the threads that made each scratch."""
-    chunks, makers, lock = [], [], threading.Lock()
+def record_blocks(h, rows):
+    """Runs a split call over h rows in blocks of ``rows`` and returns its
+    blocks as (r0, r1, thread, scratch), in row order, and the threads that
+    made each scratch."""
+    blocks, makers, lock = [], [], threading.Lock()
 
     def scratch():
         makers.append(threading.get_ident())
-        return object()
+        return (object(),)
 
-    def fn(lo, hi, buf):
+    def body(r0, r1, buf):
         time.sleep(0.01)  # long enough for every helper to take its chunk
         with lock:
-            chunks.append((lo, hi, threading.get_ident(), buf))
+            blocks.append((r0, r1, threading.get_ident(), buf))
 
-    split.run_split(fn, n_items, scratch)
-    return sorted(chunks, key=lambda c: c[0]), makers
+    split.run_rows(body, h, rows, scratch)
+    return sorted(blocks, key=lambda b: b[0]), makers
 
 
-@pytest.mark.parametrize("n_items", [1, 2, 5, 7])
+def chunks_of(blocks):
+    """Groups recorded blocks into chunks: runs of blocks of one thread."""
+    chunks = []
+    for block in blocks:
+        if chunks and chunks[-1][-1][2] == block[2]:
+            chunks[-1].append(block)
+        else:
+            chunks.append([block])
+    return chunks
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 5, 7])
 @pytest.mark.parametrize("k", WORKERS)
-def test_chunks_are_contiguous_one_per_worker(monkeypatch, k, n_items):
+def test_chunks_are_contiguous_one_per_worker(monkeypatch, k, n_blocks):
     set_workers(monkeypatch, k)
-    chunks, makers = record_chunks(n_items)
+    # Blocks of 3 rows over 3 * n_blocks - 1 rows: the last one has 2.
+    h = 3 * n_blocks - 1
+    blocks, makers = record_blocks(h, 3)
+    assert [b[:2] for b in blocks] == [(r, min(r + 3, h)) for r in range(0, h, 3)]
+    chunks = chunks_of(blocks)
     me = threading.get_ident()
-    assert len(chunks) == min(k, n_items)
-    assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
-    assert chunks[-1][1] == n_items and all(hi > lo for lo, hi, _, _ in chunks)
-    # The caller runs the first chunk and makes every chunk's own scratch.
-    assert chunks[0][2] == me and makers == [me] * len(chunks)
-    assert len({c[2] for c in chunks}) == len(chunks)
-    assert len({id(c[3]) for c in chunks}) == len(chunks)
+    assert len(chunks) == min(k, n_blocks)
+    assert [len(c) for c in chunks] == [
+        (i + 1) * n_blocks // len(chunks) - i * n_blocks // len(chunks) for i in range(len(chunks))]
+    # The caller runs the first chunk and makes every chunk's own scratch,
+    # which every block of the chunk shares.
+    assert chunks[0][0][2] == me and makers == [me] * len(chunks)
+    assert len({c[0][2] for c in chunks}) == len(chunks)
+    assert all(len({id(b[3]) for b in c}) == 1 for c in chunks)
+    assert len({id(c[0][3]) for c in chunks}) == len(chunks)
 
 
 def test_nested_call_runs_inline(monkeypatch):
     set_workers(monkeypatch, 2)
     inner = []
 
-    def fn(lo, hi, buf):
-        split.run_split(lambda a, b, _: inner.append((a, b, threading.get_ident())), 4, list)
+    def body(r0, r1):
+        split.run_rows(lambda a, b: inner.append((a, b, threading.get_ident())), 4, 1, tuple)
         inner.append(threading.get_ident())
 
     # A call that waited for the dispatch lock it holds would never end.
-    outer = threading.Thread(target=split.run_split, args=(fn, 2, list), daemon=True)
+    outer = threading.Thread(target=split.run_rows, args=(body, 2, 1, tuple), daemon=True)
     outer.start()
     outer.join(timeout=30)
     assert not outer.is_alive()
-    pairs = [c for c in inner if isinstance(c, tuple)]
-    assert sorted(p[:2] for p in pairs) == [(0, 4), (0, 4)]
-    # Each inner call ran whole in the thread of the chunk that made it.
-    assert {p[2] for p in pairs} == {t for t in inner if not isinstance(t, tuple)}
+    blocks = [c for c in inner if isinstance(c, tuple)]
+    assert sorted(b[:2] for b in blocks) == sorted([(0, 1), (1, 2), (2, 3), (3, 4)] * 2)
+    # Each inner call ran whole in the thread of the block that made it.
+    outer_threads = [t for t in inner if not isinstance(t, tuple)]
+    assert len(set(outer_threads)) == 2
+    assert sorted(b[2] for b in blocks) == sorted(outer_threads * 4)
 
 
 def test_concurrent_forwards_give_single_thread_bytes(monkeypatch):
@@ -123,18 +144,19 @@ def test_error_reaches_the_caller_after_every_chunk_ended(monkeypatch, bad):
     set_workers(monkeypatch, 3)
     ended = []
 
-    def fn(lo, hi, buf):
-        if lo == bad:
+    def body(r0, r1):
+        if r0 == bad:
             raise ValueError(f"chunk {bad}")
-        if lo == 2:
+        if r0 == 2:
             time.sleep(0.05)
-        ended.append(lo)
+        ended.append(r0)
 
     with pytest.raises(ValueError, match=f"chunk {bad}"):
-        split.run_split(fn, 3, list)
+        split.run_rows(body, 3, 1, tuple)
     assert sorted(ended) == [c for c in (0, 1, 2) if c != bad]
-    chunks, _ = record_chunks(3)
-    assert [c[:2] for c in chunks] == [(0, 1), (1, 2), (2, 3)]
+    blocks, _ = record_blocks(3, 1)
+    assert [b[:2] for b in blocks] == [(0, 1), (1, 2), (2, 3)]
+    assert len({b[2] for b in blocks}) == 3
 
 
 def test_nan_in_a_helper_chunk_raises_and_the_next_forward_works(monkeypatch):
@@ -144,8 +166,7 @@ def test_nan_in_a_helper_chunk_raises_and_the_next_forward_works(monkeypatch):
     want = layer.forward(x)
     set_workers(monkeypatch, 2)
     # Two row blocks: the helper's chunk is the second, rows 36 to 63.
-    blocks = list(layers._blocks(1, 64, layers._block_rows(1, 64, 64 * 28)))
-    assert len(blocks) == 2 and blocks[1][1].start == 36
+    assert layers._block_rows(1, 64, 64 * 28) == 36
     bad = x.copy()
     bad[0, 5, 60, 10] = np.nan
     with pytest.raises(ArgumentError):
@@ -156,13 +177,13 @@ def test_nan_in_a_helper_chunk_raises_and_the_next_forward_works(monkeypatch):
 def fork_child(conn):
     """Reports the threads that ran the chunks of a two-chunk split call."""
     threads = set()
-    split.run_split(lambda lo, hi, _: threads.add(threading.get_ident()), 2, list)
+    split.run_rows(lambda r0, r1: threads.add(threading.get_ident()), 2, 1, tuple)
     conn.send(len(threads))
 
 
 def test_fork_child_starts_its_own_helpers(monkeypatch):
     set_workers(monkeypatch, 2)
-    record_chunks(2)  # the parent now has a helper thread
+    record_blocks(2, 1)  # the parent now has a helper thread
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     with warnings.catch_warnings():
@@ -199,6 +220,7 @@ def test_split_call_holds_no_reference_once_it_returns(monkeypatch):
 
 
 def test_no_module_imports_a_process_pool_or_executor():
+    # Threads live in split.py alone.
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -208,7 +230,46 @@ def test_no_module_imports_a_process_pool_or_executor():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] not in ("concurrent", "multiprocessing"), path.name
+                top = name.split(".")[0]
+                assert top not in ("concurrent", "multiprocessing"), path.name
+                assert top not in ("threading", "_thread") or path.name == "split.py", path.name
+
+
+# Every blocked-pass shape of the benchmark's workloads and its number of
+# row blocks: the BiSRConv inputs of a 256x256, C=28 reconstruction, and
+# of a C=8 training step on two 32x32 patches.
+WORKLOAD_BLOCKS = [
+    ((1, 28, 256, 256), 29), ((1, 56, 128, 128), 15), ((1, 28, 128, 128), 8),
+    ((1, 112, 64, 64), 8), ((1, 56, 64, 64), 4),
+    ((2, 8, 32, 32), 1), ((2, 8, 16, 16), 1), ((2, 16, 16, 16), 1), ((2, 16, 8, 8), 1),
+    ((2, 32, 8, 8), 1),
+]
+
+
+@pytest.mark.parametrize("shape,n_blocks", WORKLOAD_BLOCKS, ids=str)
+def test_blocked_passes_keep_their_block_count_at_workload_shapes(monkeypatch, shape, n_blocks):
+    counts = []
+
+    def counting_run_rows(body, h, rows, scratch):
+        blocks = []
+
+        def counted(r0, r1, *bufs):
+            blocks.append(r0)
+            body(r0, r1, *bufs)
+
+        run_rows(counted, h, rows, scratch)
+        counts.append(len(blocks))
+
+    rng = np.random.default_rng(13)
+    layer = BiSRConv(shape[1], rng)
+    x = rng.standard_normal(shape).astype(np.float32)
+    raw = bit_conv2d(layer._sign_pack(x), pack(sign(layer.weight.value)), out_dtype=np.int16)
+    run_rows = split.run_rows
+    monkeypatch.setattr(split, "run_rows", counting_run_rows)
+    set_workers(monkeypatch, 2)
+    layer._sign_pack(x)
+    layer._residual_rprelu(x, np.asarray(0.5, np.float32), raw)
+    assert counts == [n_blocks, n_blocks]
 
 
 def bytes_at_each_worker_count(monkeypatch, call):

@@ -382,6 +382,17 @@ class TestAvgPool:
         rhs = (x * avg_pool2x2_backward(g, x.shape)).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
+    @pytest.mark.parametrize("g_shape,in_shape", [
+        # Reshaped into the input, these would pass unnoticed: four channels
+        # into one 8x8 channel, and image 2 into channel 2.
+        ((1, 4, 2, 2), (1, 1, 8, 8)), ((2, 1, 2, 2), (1, 2, 4, 4)),
+        ((1, 1, 2, 2), (1, 1, 4, 5)), ((1, 1, 2, 3), (1, 1, 4, 4)),
+    ])
+    def test_backward_rejects_grad_of_another_shape(self, g_shape, in_shape):
+        with pytest.raises(DimensionError) as err:
+            avg_pool2x2_backward(np.ones(g_shape, np.float32), in_shape)
+        assert str(g_shape) in str(err.value) and str(in_shape) in str(err.value)
+
 
 def _up2_indices(m):
     """Index arrays of the gather form of the 2x upsample, the oracle of
