@@ -231,6 +231,8 @@ def rprelu(y, beta, gamma, zeta):
     takes ``y``'s memory order.
     """
     y = np.asarray(y)
+    # np.result_type reads a list as a structured dtype spec.
+    beta, gamma, zeta = (np.asarray(p) for p in (beta, gamma, zeta))
     c = y.shape[1]
     if not (len(beta) == len(gamma) == len(zeta) == c):
         raise DimensionError(

@@ -1,16 +1,23 @@
-"""Runs the row blocks of one 1-bit pass on every CPU the process may use.
+"""Runs the blocks of one pass on every CPU the process may use.
 
 A pass over an (n, h, ...) array is cut into row blocks: a block is a run
 of ``rows`` rows across all n images, [r0, r1) with r1 - r0 = rows except
-at the end. :func:`run_rows` owns the block loop. It splits the blocks
-into contiguous chunks, one per CPU in the process's affinity mask
-(:func:`cpu_count`) and never more than one per block, and calls
-``body(r0, r1, *bufs)`` for each block of a chunk. The calling thread runs
-the first chunk; one helper thread per other CPU runs the rest, and the
-caller waits for all of them before it returns. A block must write only
-its own rows of the output, so that the bytes do not depend on how many
-chunks ran. The numpy calls that make up a block release the interpreter
-lock, so the chunks overlap.
+at the end. The 1-bit passes cut their work that way: ``bitpack.bit_conv2d``,
+``VanillaBinConv._sign_pack`` and ``BiSRConv._residual_rprelu``. Two float
+passes number their blocks instead, one "row" per block: block b of
+``tensor.conv2d_forward`` is one run of output rows of one image, and block
+b of ``train.ssim`` is band b.
+
+:func:`run_rows` owns the block loop. It splits the blocks into contiguous
+chunks, one per CPU in the process's affinity mask (:func:`cpu_count`) and
+never more than one per block, and calls ``body(r0, r1, *bufs)`` for each
+block of a chunk. The calling thread runs the first chunk; one helper
+thread per other CPU runs the rest, and the caller waits for all of them
+before it returns. A block must write only its own rows of the output, so
+that the bytes do not depend on how many chunks ran. The numpy calls that
+make up a block (ufuncs, copies, GEMMs) release the interpreter lock, so
+the chunks overlap. With one CPU in the mask (``taskset -c 0``) every pass
+runs serially in the calling thread.
 
 - Scratch: ``scratch()`` is called in the calling thread once per chunk
   and returns the chunk's buffers, so the helpers allocate almost nothing.

@@ -11,11 +11,15 @@ copies tap rows, (n, c*k*k, L) memory in which row (c, dy, dx) holds channel
 c's strided window for one tap, so every copy moves whole output rows. It
 builds them one block of output rows at a time in an L2-sized buffer and
 hands each block's transposed (L, c*k*k) view to one GEMM, so no full-size
-column matrix exists. Blocks never drop below a minimum size, because
-OpenBLAS rounds small GEMMs differently, and a transposed operand
-differently again: a conv too small for such blocks runs one GEMM on
-C-ordered patch rows, (n, L, c*k*k) memory, instead. A stride-1 1x1 conv
-copies nothing when it can: its columns are the input itself. The output is
+column matrix exists. Each block writes only its own output rows, so the
+blocks run on every CPU the process may use through :func:`split.run_rows`,
+each CPU's run of blocks with its own buffer, and the bytes do not depend on
+the CPU count. Blocks never drop below a minimum size, because OpenBLAS
+rounds small GEMMs differently, and a transposed operand differently again:
+a conv too small for such blocks runs one GEMM on C-ordered patch rows,
+(n, L, c*k*k) memory, in the calling thread instead. That is every conv of
+a training step. A stride-1 1x1 conv copies nothing when it can: its
+columns are the input itself, and it runs as one GEMM. The output is
 bit-identical to a single GEMM over the whole C-ordered column matrix, down
 to the memory order: an (n, c_out, ho, wo) view of (n, ho, wo, c_out)
 memory. :func:`conv2d_vjp` takes the forward input back and builds C-ordered
@@ -39,6 +43,7 @@ the per-channel gradient sums after it round.
 
 import numpy as np
 
+from . import split
 from .errors import ArgumentError, DimensionError
 
 
@@ -108,14 +113,16 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
 
     The columns are built as tap rows, one block of output rows of one
     image at a time, in a buffer of about ``_BLOCK_BYTES``, and each block
-    makes one GEMM into its rows of the output. A block never has fewer
-    than ``_MIN_BLOCK_MNK`` multiply-adds, so only a conv too small for two
+    makes one GEMM into its rows of the output. The n * nb blocks (nb per
+    image) run through :func:`split.run_rows` on every CPU the process may
+    use, with one tap buffer per CPU. A block never has fewer than
+    ``_MIN_BLOCK_MNK`` multiply-adds, so only a conv too small for two
     such blocks per image builds its whole column matrix, as C-ordered
     patch rows and one GEMM call over all images. A stride-1 1x1 conv with
-    blocks makes one GEMM straight from the input's memory. The result is
-    an (n, c_out, ho, wo) view of (n, ho, wo, c_out) memory. Its bytes and
-    that memory order are both part of the bit-exact contract: later sums
-    and GEMMs round in memory order.
+    blocks makes one GEMM straight from the input's memory instead. The
+    result is an (n, c_out, ho, wo) view of (n, ho, wo, c_out) memory. Its
+    bytes and that memory order are both part of the bit-exact contract:
+    later sums and GEMMs round in memory order.
     """
     x = _require_4d(x)
     weight = np.asarray(weight)
@@ -152,17 +159,23 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
         np.matmul(_patch_rows(xp, k, stride), wmat_t, out=y)
     elif k == 1 and stride == 1:
         # The tap rows of a 1x1 conv are its input: a view of C-ordered and of
-        # channel-last memory alike.
+        # channel-last memory alike. Split into row blocks, its 256x256 calls
+        # ran no faster on two CPUs and slower on one (2-core x86 host).
         np.matmul(xp.reshape(n, c_in, ho * wo).transpose(0, 2, 1), wmat_t, out=y)
     else:
-        # nb blocks per image of rows..2*rows-1 output rows each.
-        bounds = [ho * j // nb for j in range(nb + 1)]
-        buf = np.empty(-(-ho // nb) * wo * kk, xp.dtype)
-        for i in range(n):
-            for r0, r1 in zip(bounds, bounds[1:]):
-                taps = buf[: kk * (r1 - r0) * wo].reshape(1, c_in, k, k, r1 - r0, wo)
-                _copy_taps(xp[i : i + 1], k, stride, r0, r1, taps)
-                np.matmul(taps.reshape(kk, -1).T, wmat_t, out=y[i, r0 * wo : r1 * wo])
+        def block(b, _, buf):
+            # Block b is output rows [ho*j//nb, ho*(j+1)//nb) of image
+            # b // nb, j = b % nb: rows..2*rows-1 rows each.
+            i, j = divmod(b, nb)
+            r0, r1 = ho * j // nb, ho * (j + 1) // nb
+            taps = buf[: kk * (r1 - r0) * wo].reshape(1, c_in, k, k, r1 - r0, wo)
+            _copy_taps(xp[i : i + 1], k, stride, r0, r1, taps)
+            np.matmul(taps.reshape(kk, -1).T, wmat_t, out=y[i, r0 * wo : r1 * wo])
+
+        # Each block writes only its own output rows, so the blocks run split
+        # over the CPUs with the bytes of one serial pass.
+        taps_size = -(-ho // nb) * wo * kk
+        split.run_rows(block, n * nb, 1, lambda: (np.empty(taps_size, xp.dtype),))
     if bias is None:
         return y.transpose(0, 2, 1).reshape(n, c_out, ho, wo)
     # In place where the dtype allows. The view's strides are those of the
@@ -214,11 +227,19 @@ def conv2d_vjp(x, weight, grad_out, stride=1, pad=0, pad_value=0.0):
     ``x`` rather than columns k*k times its size (at stride 1).
     ``pad_value`` must match the forward pass: the weight gradient sums
     input patches, and constant padding is part of those patches. The bias
-    gradient is ``grad_out.sum(axis=(0, 2, 3))``.
+    gradient is ``grad_out.sum(axis=(0, 2, 3))``. ``grad_out`` must have
+    the forward output's shape (n, c_out, ho, wo).
     """
     x = _require_4d(x)
     xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
-    cols = _patch_rows(xp, weight.shape[2], stride)
+    k = weight.shape[2]
+    out_shape = (x.shape[0], weight.shape[0], (xp.shape[2] - k) // stride + 1,
+                 (xp.shape[3] - k) // stride + 1)
+    if np.shape(grad_out) != out_shape:
+        raise DimensionError(
+            f"grad_out {np.shape(grad_out)} is not the output {out_shape} of the conv"
+        )
+    cols = _patch_rows(xp, k, stride)
     return conv2d_backward(cols, grad_out, weight, x.shape, stride, pad)
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cassi, layers
+from . import cassi, layers, split
 from .errors import ArgumentError, DimensionError, DomainError
 
 LOSS_FLOOR = 1e-12
@@ -138,14 +138,18 @@ def ssim(pred, target):
     Band images below the window size are rejected. 3-D inputs are scored
     per band and averaged.
 
-    One band at a time is cast into a reused (h, 5, w) float64 buffer of
-    its five maps p, t, p*p, t*t and p*t. The separable Gaussian filter
-    then runs as GEMMs on tiles of _SSIM_TILE outputs against one Toeplitz
-    band of the window: down the rows on all five maps at once, then along
-    the columns. The SSIM map is formed in place in three reused (ho, wo)
-    buffers. Memory therefore does not grow with the band count, and no
-    float64 copy of the cube is made; float32 inputs score exactly as
-    their float64 casts.
+    Each band is cast into a reused (h, 5, w) float64 buffer of its five
+    maps p, t, p*p, t*t and p*t. The separable Gaussian filter then runs
+    as GEMMs on tiles of _SSIM_TILE outputs against one Toeplitz band of
+    the window: down the rows on all five maps at once, then along the
+    columns. The SSIM map is formed in place in three reused (ho, wo)
+    buffers. The bands run through :func:`split.run_rows` on every CPU the
+    process may use, each CPU's run of bands with its own set of these
+    buffers. Memory therefore grows with the CPU count, one buffer set per
+    CPU, but not with the band count, and no float64 copy of the cube is
+    made; float32 inputs score exactly as their float64 casts. Each band's
+    mean lands in its own slot, and the mean over the bands runs in band
+    order, so the result does not depend on the CPU count.
     """
     pred = np.asarray(pred)
     target = np.asarray(target)
@@ -160,19 +164,22 @@ def ssim(pred, target):
     if min(h, w) < n:
         raise DimensionError(f"images must be at least {n}x{n} for SSIM")
     ho, wo = h - n + 1, w - n + 1
-    maps = np.empty((h, 5, w))
-    rows = np.empty((ho, 5, w))  # the maps filtered down the rows
-    moments = np.empty((ho, 5, wo))  # and along the columns: local means
-    row_in, row_out = maps.reshape(h, 5 * w), rows.reshape(ho, 5 * w)
-    col_in, col_out = rows.reshape(ho * 5, w), moments.reshape(ho * 5, wo)
-    mu_p, mu_t, e_pp, e_tt, e_pt = (moments[:, i] for i in range(5))
-    a, b, c = (np.empty((ho, wo)) for _ in range(3))
     c1 = 0.01**2
     c2 = 0.03**2
-    vals = []
-    for p, t in zip(pred, target):
-        maps[:, 0] = p
-        maps[:, 1] = t
+    vals = np.empty(len(pred))
+
+    def scratch():
+        maps = np.empty((h, 5, w))
+        rows = np.empty((ho, 5, w))  # the maps filtered down the rows
+        moments = np.empty((ho, 5, wo))  # and along the columns: local means
+        return maps, rows, moments, np.empty((ho, wo)), np.empty((ho, wo)), np.empty((ho, wo))
+
+    def band(i, _, maps, rows, moments, a, b, c):
+        row_in, row_out = maps.reshape(h, 5 * w), rows.reshape(ho, 5 * w)
+        col_in, col_out = rows.reshape(ho * 5, w), moments.reshape(ho * 5, wo)
+        mu_p, mu_t, e_pp, e_tt, e_pt = moments.transpose(1, 0, 2)
+        maps[:, 0] = pred[i]
+        maps[:, 1] = target[i]
         np.multiply(maps[:, 0], maps[:, 0], out=maps[:, 2])
         np.multiply(maps[:, 1], maps[:, 1], out=maps[:, 3])
         np.multiply(maps[:, 0], maps[:, 1], out=maps[:, 4])
@@ -199,7 +206,11 @@ def ssim(pred, target):
         e_pp += c2
         b *= e_pp
         a /= b
-        vals.append(float(np.mean(a)))
+        vals[i] = np.mean(a)
+
+    # Each band writes only its own entry of vals, so the bands run split
+    # over the CPUs, and the mean over them runs in band order.
+    split.run_rows(band, len(pred), 1, scratch)
     return float(np.mean(vals))
 
 

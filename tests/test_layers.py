@@ -63,6 +63,13 @@ class TestRPReLU:
         with pytest.raises(DimensionError):
             rprelu(np.zeros((1, 3, 2, 2)), np.ones(2), np.zeros(2), np.zeros(2))
 
+    def test_lists_give_the_bytes_of_arrays(self):
+        y = np.random.default_rng(3).standard_normal((1, 2, 3, 3)).astype(np.float32)
+        beta, gamma, zeta = [0.25, 0.5], [0.0, -0.1], [0.0, 0.3]
+        got = rprelu(y, beta, gamma, zeta)
+        want = rprelu(y, *(np.asarray(p) for p in (beta, gamma, zeta)))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("channels_last", [False, True])
     def test_matches_where_form_bit_for_bit(self, dtype, channels_last):

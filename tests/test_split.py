@@ -15,12 +15,13 @@ import pathlib
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
-from test_tensor import assert_gc_count_flat
+from test_tensor import assert_gc_count_flat, channel_last
 
 from bisrnet import bitpack, layers, split
 from bisrnet.binarize import sign
@@ -28,6 +29,8 @@ from bisrnet.bitpack import bit_conv2d, pack
 from bisrnet.errors import ArgumentError
 from bisrnet.layers import BiSRConv
 from bisrnet.network import NetworkConfig, build
+from bisrnet.tensor import conv2d_forward
+from bisrnet.train import ssim
 
 WORKERS = (1, 2, 3)
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bisrnet"
@@ -384,3 +387,135 @@ def test_split_passes_leave_the_gc_allocation_count_flat(monkeypatch):
     scale = np.asarray(0.5, np.float32)
     assert_flat(lambda: layer._sign_pack(x))
     assert_flat(lambda: layer._residual_rprelu(x, scale, raw))
+
+
+# conv2d_forward cases large enough for row blocks (two or more per image),
+# two images each: 3x3 stride 1 and 4x4 stride 2, whose blocks split, and a
+# stride-1 1x1 conv, one GEMM on the input's own memory: (x shape, weight
+# shape, stride, pad).
+CONV_CASES = [
+    ((2, 28, 64, 64), (28, 28, 3, 3), 1, 1),
+    ((2, 28, 128, 128), (56, 28, 4, 4), 2, 1),
+    ((2, 56, 128, 128), (28, 56, 1, 1), 1, 0),
+]
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("x_channel_last", [False, True])
+@pytest.mark.parametrize("x_shape,w_shape,stride,pad", CONV_CASES, ids=str)
+def test_conv2d_forward_bytes_do_not_depend_on_workers(monkeypatch, x_shape, w_shape, stride,
+                                                       pad, x_channel_last, bias):
+    rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    x = channel_last(x) if x_channel_last else x
+    w = rng.standard_normal(w_shape).astype(np.float32)
+    b = rng.standard_normal(w_shape[0]).astype(np.float32) if bias else None
+    bytes_at_each_worker_count(monkeypatch, lambda: conv2d_forward(x, w, b, stride, pad))
+
+
+def test_ssim_does_not_depend_on_workers(monkeypatch):
+    rng = np.random.default_rng(14)
+    pred, target = (rng.random((7, 40, 48)).astype(np.float32) for _ in range(2))
+    got = []
+    for k in WORKERS:
+        set_workers(monkeypatch, k)
+        got.append(ssim(pred, target))
+    assert got == [got[0]] * len(WORKERS)
+
+
+# The base model's blocked convs at 256x256, C=28, and their number of row
+# blocks, n * nb: (x shape, weight shape, stride, pad, blocks).
+CONV_BLOCKS = [
+    ((1, 28, 256, 256), (28, 28, 3, 3), 1, 1, 51),
+    ((1, 56, 256, 256), (56, 56, 3, 3), 1, 1, 128),
+    ((1, 28, 256, 256), (56, 28, 4, 4), 2, 1, 32),
+]
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,pad,n_blocks", CONV_BLOCKS, ids=str)
+def test_conv2d_forward_keeps_its_block_count_at_workload_shapes(monkeypatch, x_shape, w_shape,
+                                                                 stride, pad, n_blocks):
+    calls = []
+    monkeypatch.setattr(split, "run_rows", lambda body, h, rows, scratch: calls.append((h, rows)))
+    conv2d_forward(np.zeros(x_shape, np.float32), np.zeros(w_shape, np.float32), None, stride, pad)
+    assert calls == [(n_blocks, 1)]
+
+
+def test_float_split_passes_leave_the_gc_allocation_count_flat(monkeypatch):
+    set_workers(monkeypatch, 2)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((1, 28, 128, 128)).astype(np.float32)
+    w = rng.standard_normal((28, 28, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(28).astype(np.float32)
+    pred, target = (rng.random((4, 64, 64)) for _ in range(2))
+    assert_gc_count_flat(lambda: conv2d_forward(x, w, b, pad=1))
+    assert_gc_count_flat(lambda: ssim(pred, target))
+
+
+@pytest.mark.parametrize("w_shape,pad", [((28, 28, 3, 3), 1), ((28, 28, 1, 1), 0)])
+def test_conv2d_forward_holds_one_tap_buffer_per_worker(monkeypatch, w_shape, pad):
+    # Besides the output and the padded input, each worker's chunk holds
+    # one tap buffer of ceil(ho / nb) output rows; a 1x1 conv copies none.
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((1, 28, 256, 256)).astype(np.float32)
+    w = rng.standard_normal(w_shape).astype(np.float32)
+    k = w_shape[2]
+    padded = 28 * (256 + 2 * pad) ** 2 * 4 if pad else 0
+    taps = 0 if k == 1 else -(-256 // 51) * 256 * 28 * k * k * 4
+    for workers in WORKERS:
+        set_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            y = conv2d_forward(x, w, pad=pad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes < padded + workers * taps + 2**16
+
+
+# Every function under src/ that hands a pass to split.run_rows, and the
+# test that checks its bytes at each worker count.
+SPLIT_CALLERS = {
+    "bitpack.bit_conv2d": "test_bit_conv2d_bytes_do_not_depend_on_workers",
+    "layers.VanillaBinConv._sign_pack": "test_large_bisr_forward_does_not_depend_on_workers",
+    "layers.BiSRConv._residual_rprelu": "test_large_bisr_forward_does_not_depend_on_workers",
+    "tensor.conv2d_forward": "test_conv2d_forward_bytes_do_not_depend_on_workers",
+    "train.ssim": "test_ssim_does_not_depend_on_workers",
+}
+
+
+def names_run_rows(tree):
+    """The number of places in an ast tree that name ``run_rows``."""
+    return sum(isinstance(n, ast.Attribute) and n.attr == "run_rows"
+               or isinstance(n, ast.Name) and n.id == "run_rows" for n in ast.walk(tree))
+
+
+def split_callers():
+    """The qualified names of the functions and methods under src/ whose
+    body, nested functions included, names ``run_rows``; a module that
+    names it outside them appears by its own name."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "split.py":
+            continue
+        tree = ast.parse(path.read_text())
+        defs = []
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defs.append((top.name, top))
+            elif isinstance(top, ast.ClassDef):
+                defs += [(f"{top.name}.{f.name}", f) for f in top.body
+                         if isinstance(f, ast.FunctionDef)]
+        counts = {name: names_run_rows(fn) for name, fn in defs}
+        found |= {f"{path.stem}.{name}" for name, count in counts.items() if count}
+        if sum(counts.values()) < names_run_rows(tree):
+            found.add(path.stem)
+    return found
+
+
+def test_every_split_caller_has_a_worker_invariance_test():
+    # A new caller of split.run_rows must join SPLIT_CALLERS with a test
+    # that compares its bytes at 1, 2 and 3 workers.
+    assert split_callers() == set(SPLIT_CALLERS)
+    for test in SPLIT_CALLERS.values():
+        assert callable(globals().get(test)), test

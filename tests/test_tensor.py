@@ -349,6 +349,14 @@ class TestConvVjp:
         assert_gc_count_flat(lambda: conv2d_vjp(x, w3, g, pad=1, pad_value=-1.0))
         assert_gc_count_flat(lambda: conv2d_vjp(channel_last(x), w1, g))
 
+    @pytest.mark.parametrize("g_shape", [(1, 3, 1, 1), (2, 3, 6, 6), (1, 1, 6, 6)])
+    def test_rejects_grad_of_another_shape(self, g_shape):
+        # numpy would broadcast the first two and fail to reshape the third.
+        x = np.ones((1, 2, 6, 6), np.float32)
+        w = np.ones((3, 2, 3, 3), np.float32)
+        with pytest.raises(DimensionError, match=r"\(1, 3, 6, 6\)"):
+            conv2d_vjp(x, w, np.ones(g_shape, np.float32), pad=1)
+
 
 class TestAvgPool:
     def test_single_block(self):
