@@ -37,7 +37,10 @@ layout. With the input padded spatially by zero words (bit 0 = -1),
 so the kernel makes one XOR + popcount + add pass per patch word, and its
 integer output matches the dense reference convolution with pad_value=-1
 bit for bit. When c_in is a multiple of 64 the patch words are the
-channel words of the taps, in tap order.
+channel words of the taps, in tap order. Both convs take their arguments
+through one rule, :func:`tensor.conv_out_shape`, applied to the logical
+shapes here: the kernel accepts exactly the convs its oracle accepts, and
+gives them the same output size.
 
 The passes run over planes. A block of output rows keeps its patch as one
 contiguous plane per patch word q, holding word q of every pixel in the
@@ -64,6 +67,7 @@ import numpy as np
 
 from . import split
 from .errors import ArgumentError, DimensionError, DomainError
+from .tensor import conv_out_shape
 
 WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -191,7 +195,8 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
     x: BitTensor (n, c_in, h, w); w: BitTensor (c_out, c_in, k, k); scale:
     a scalar. Returns scale * integer_conv as ``out_dtype``, equal
     elementwise to scale * conv2d_ref(unpack(x), unpack(w), stride=stride,
-    pad=pad, pad_value=-1).
+    pad=pad, pad_value=-1). :func:`tensor.conv_out_shape` checks the
+    logical shapes, stride and pad, as it does for the dense conv.
 
     Each output pixel's k*k taps of c_in bits are packed into
     ceil(k*k*c_in/64) patch words, tap t = dy*k + dx at bits
@@ -210,20 +215,9 @@ def bit_conv2d(x, w, scale=1.0, stride=1, pad=1, out_dtype=np.float32):
     """
     if not isinstance(x, BitTensor) or not isinstance(w, BitTensor):
         raise ArgumentError("bit_conv2d operates on BitTensor operands")
-    n, c_in, h, wd = x.shape
-    c_out, wc_in, k, k2 = w.shape
-    if k != k2:
-        raise DimensionError(f"weight kernel must be square, got {k}x{k2}")
-    if wc_in != c_in:
-        raise DimensionError(f"input has {c_in} channels, weight expects {wc_in}")
-    if stride < 1:
-        raise ArgumentError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ArgumentError(f"pad must be >= 0, got {pad}")
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise DimensionError(f"empty output for input {h}x{wd}, kernel {k}, pad {pad}")
+    n, c_out, ho, wo = conv_out_shape(x.shape, w.shape, stride, pad)
+    _, c_in, h, wd = x.shape
+    k = w.shape[2]
 
     n_bits = k * k * c_in
     out_dtype = np.dtype(out_dtype)

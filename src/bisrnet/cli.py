@@ -5,8 +5,9 @@ Every run that writes files also writes a plain-text manifest.txt next to
 them with the fully resolved configuration, sufficient to reproduce the
 outputs bit for bit.
 
-Arguments can come from a key=value config file via ``@file``; explicit
-flags given after the file reference win:
+Arguments can come from a config file via ``@file``. Each line is either
+``key=value`` or flags split as on the command line (``--steps 3``);
+explicit flags given after the file reference win:
 
     bisrnet train @desk.cfg --steps 100
 
@@ -348,7 +349,7 @@ def _config_line_to_args(line):
     if "=" in line and not line.startswith("-"):
         key, value = line.split("=", 1)
         return [f"--{key.strip()}={value.strip()}"]
-    return [line]
+    return shlex.split(line)
 
 
 def main(argv=None):

@@ -131,6 +131,7 @@ from .tensor import (
     concat_channels,
     conv2d_forward,
     conv2d_vjp,
+    conv_out_shape,
     split_channels,
 )
 
@@ -317,9 +318,12 @@ class Layer:
 
 
 class _Conv(Layer):
-    """Weight and geometry shared by the convolution layers."""
+    """Weight and geometry shared by the convolution layers. The geometry
+    goes through :func:`tensor.conv_out_shape` when the layer is built, so
+    a conv the kernels would refuse fails here, not in its first forward."""
 
     def __init__(self, c_in, c_out, k, stride, pad, rng, dtype, name):
+        conv_out_shape((1, c_in, k, k), (c_out, c_in, k, k), stride, pad)
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride, self.pad = stride, pad
         self.name = name
@@ -338,8 +342,8 @@ class _Conv(Layer):
             raise ArgumentError(f"{self.name}: {what} dtype {x.dtype} != weight dtype {dt}")
 
     def count_macs(self, h, w):
-        ho = (h + 2 * self.pad - self.k) // self.stride + 1
-        wo = (w + 2 * self.pad - self.k) // self.stride + 1
+        _, _, ho, wo = conv_out_shape((1, self.c_in, h, w), self.weight.value.shape,
+                                      self.stride, self.pad)
         return self.c_in * self.c_out * self.k * self.k * ho * wo, ho, wo
 
 

@@ -27,9 +27,17 @@ patch rows, so a caller keeps ``x`` for its backward, never the columns. Its
 weight-gradient einsum sums in memory order, and over tap rows it would
 round differently. Its input gradient goes through tap-row grad-cols, so
 each tap's scatter reads whole rows. ``conv2d_ref`` is another name for
-``conv2d_forward``: it doubles as the independent oracle for the bit-packed
-XNOR/popcount kernel, which is why padding takes an explicit fill value:
-binarized feature maps pad with -1, real-valued ones with 0.
+``conv2d_forward``, the dense oracle for the bit-packed XNOR/popcount kernel,
+which is why padding takes an explicit fill value: binarized feature maps
+pad with -1, real-valued ones with 0. It is the same code as the forward;
+its independence comes from the tests, which check it against naive
+references of their own.
+
+Which convolutions exist is decided in one place, :func:`conv_out_shape`.
+``conv2d_forward``, ``conv2d_vjp``, ``bitpack.bit_conv2d`` and the conv
+layers (at construction and in ``count_macs``) all apply it, so they accept
+the same arguments, refuse the rest with the same error, and agree on the
+output size.
 
 The two resamplers keep fixed memory orders too. :func:`avg_pool2x2`
 keeps its input's order, and its backward returns C-contiguous memory.
@@ -52,6 +60,38 @@ def _require_4d(x, name="input"):
     if x.ndim != 4:
         raise DimensionError(f"{name} must be 4-D (n, c, h, w), got shape {x.shape}")
     return x
+
+
+def conv_out_shape(x_shape, w_shape, stride, pad):
+    """The (n, c_out, ho, wo) output shape of a conv of an ``x_shape`` input
+    with a ``w_shape`` weight, after checking every argument of the conv.
+
+    The input must be 4-D and the weight (c_out, c_in, k, k) with k 1, 3 or
+    4 and the input's channel count: DimensionError otherwise. ``stride``
+    below 1 or ``pad`` below 0 raises ArgumentError. A kernel larger than
+    the padded input raises DimensionError. Output size per spatial axis
+    is floor((size + 2*pad - k)/stride) + 1.
+    """
+    if len(x_shape) != 4:
+        raise DimensionError(f"input must be 4-D (n, c, h, w), got shape {tuple(x_shape)}")
+    if len(w_shape) != 4 or w_shape[2] != w_shape[3]:
+        raise DimensionError(f"weight must be (c_out, c_in, k, k), got {tuple(w_shape)}")
+    n, c_in, h, w = x_shape
+    c_out, w_c_in, k, _ = w_shape
+    if k not in (1, 3, 4):
+        raise DimensionError(f"kernel size {k} not supported (use 1, 3 or 4)")
+    if c_in != w_c_in:
+        raise DimensionError(f"input has {c_in} channels, weight expects {w_c_in}")
+    if stride < 1:
+        raise ArgumentError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ArgumentError(f"pad must be >= 0, got {pad}")
+    ho, wo = ((size + 2 * pad - k) // stride + 1 for size in (h, w))
+    if ho < 1 or wo < 1:
+        raise DimensionError(
+            f"padded input {(h + 2 * pad, w + 2 * pad)} is smaller than the {k}x{k} kernel"
+        )
+    return n, c_out, ho, wo
 
 
 def pad_constant(x, pad, value):
@@ -94,10 +134,10 @@ def _copy_taps(xp, k, stride, r0, r1, taps):
             taps[:, :, dy, dx] = xp[:, :, rows, dx : dx + (wo - 1) * stride + 1 : stride]
 
 
-def _patch_rows(xp, k, stride):
-    """C-ordered (n, L, c*k*k) patch rows of a whole padded 4-D array."""
-    n, c, hp, wp = xp.shape
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+def _patch_rows(xp, k, stride, ho, wo):
+    """C-ordered (n, L, c*k*k) patch rows of a whole padded 4-D array whose
+    conv output is ho x wo."""
+    n, c = xp.shape[:2]
     cols = np.empty((n, ho, wo, c, k, k), xp.dtype)
     _copy_taps(xp, k, stride, 0, ho, cols.transpose(0, 3, 4, 5, 1, 2))
     return cols.reshape(n, ho * wo, c * k * k)
@@ -107,9 +147,9 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
     """Cross-correlation (no kernel flip) by blocked im2col and GEMM.
 
     x: (n, c_in, h, w); weight: (c_out, c_in, k, k); bias: (c_out,) or None.
-    Output spatial size is floor((h + 2*pad - k)/stride) + 1. The padding
-    border is filled with ``pad_value``. Keeps nothing for a backward pass:
-    :func:`conv2d_vjp` rebuilds the columns from ``x``.
+    :func:`conv_out_shape` checks the arguments and gives the output
+    shape. The padding border is filled with ``pad_value``. Keeps nothing
+    for a backward pass: :func:`conv2d_vjp` rebuilds the columns from ``x``.
 
     The columns are built as tap rows, one block of output rows of one
     image at a time, in a buffer of about ``_BLOCK_BYTES``, and each block
@@ -126,37 +166,21 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, pad_value=0.0):
     """
     x = _require_4d(x)
     weight = np.asarray(weight)
-    if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
-        raise DimensionError(f"weight must be (c_out, c_in, k, k), got {weight.shape}")
-    if weight.shape[2] not in (1, 3, 4):
-        raise DimensionError(f"kernel size {weight.shape[2]} not supported (use 1, 3 or 4)")
-    if x.shape[1] != weight.shape[1]:
-        raise DimensionError(
-            f"input has {x.shape[1]} channels, weight expects {weight.shape[1]}"
-        )
-    if stride < 1:
-        raise ArgumentError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ArgumentError(f"pad must be >= 0, got {pad}")
+    n, c_out, ho, wo = conv_out_shape(x.shape, weight.shape, stride, pad)
     if bias is not None:
         bias = np.asarray(bias)
-        if bias.shape != (weight.shape[0],):
-            raise DimensionError(f"bias must have shape ({weight.shape[0]},), got {bias.shape}")
+        if bias.shape != (c_out,):
+            raise DimensionError(f"bias must have shape ({c_out},), got {bias.shape}")
 
-    c_out, c_in, k, _ = weight.shape
-    n = x.shape[0]
+    _, c_in, k, _ = weight.shape
     xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
-    ho = (xp.shape[2] - k) // stride + 1
-    wo = (xp.shape[3] - k) // stride + 1
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"padded input {xp.shape[2:]} is smaller than the {k}x{k} kernel")
     kk = c_in * k * k
     rows = max(_BLOCK_BYTES // (wo * kk * xp.itemsize), -(-_MIN_BLOCK_MNK // (wo * c_out * kk)))
     nb = ho // rows
     wmat_t = weight.reshape(c_out, -1).T
     y = np.empty((n, ho * wo, c_out), np.result_type(xp, weight))
     if nb < 2:
-        np.matmul(_patch_rows(xp, k, stride), wmat_t, out=y)
+        np.matmul(_patch_rows(xp, k, stride, ho, wo), wmat_t, out=y)
     elif k == 1 and stride == 1:
         # The tap rows of a 1x1 conv are its input: a view of C-ordered and of
         # channel-last memory alike. Split into row blocks, its 256x256 calls
@@ -231,15 +255,13 @@ def conv2d_vjp(x, weight, grad_out, stride=1, pad=0, pad_value=0.0):
     the forward output's shape (n, c_out, ho, wo).
     """
     x = _require_4d(x)
-    xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
-    k = weight.shape[2]
-    out_shape = (x.shape[0], weight.shape[0], (xp.shape[2] - k) // stride + 1,
-                 (xp.shape[3] - k) // stride + 1)
+    out_shape = conv_out_shape(x.shape, weight.shape, stride, pad)
     if np.shape(grad_out) != out_shape:
         raise DimensionError(
             f"grad_out {np.shape(grad_out)} is not the output {out_shape} of the conv"
         )
-    cols = _patch_rows(xp, k, stride)
+    xp = pad_constant(x, pad, np.asarray(pad_value, dtype=x.dtype))
+    cols = _patch_rows(xp, weight.shape[2], stride, *out_shape[2:])
     return conv2d_backward(cols, grad_out, weight, x.shape, stride, pad)
 
 

@@ -34,6 +34,8 @@ def rmse_loss(pred, target):
 
 def cosine_lr(t, total, lr_max, lr_min):
     """Cosine annealing from lr_max at t=0 to lr_min at t=total."""
+    if total < 1:
+        raise ArgumentError(f"total steps must be >= 1, got {total}")
     if not 0 <= t <= total:
         raise ArgumentError(f"step {t} outside [0, {total}]")
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / total))
@@ -74,20 +76,29 @@ def adam_step(params, state, lr):
             np.maximum(p.value, p.min_value, out=p.value)
 
 
-def psnr(pred, target):
-    """Peak SNR in dB for a peak of 1, averaged over bands for 3-D inputs,
-    capped at 100.
-
-    Each band is cast to float64 on its own, inside the subtraction, so no
-    float64 copy of the whole cube is made; the cast is exact, so the
-    result is that of the cube cast whole.
-    """
+def _image_pair(pred, target):
+    """``pred`` and ``target`` as arrays of one 3-D (bands, h, w) shape, a
+    2-D image as one band. Any other shape or rank raises DimensionError."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
     if pred.ndim == 2:
         pred, target = pred[None], target[None]
+    if pred.ndim != 3:
+        raise DimensionError(f"PSNR and SSIM take 2-D or 3-D images, got shape {pred.shape}")
+    return pred, target
+
+
+def psnr(pred, target):
+    """Peak SNR in dB for a peak of 1, averaged over bands for 3-D inputs,
+    capped at 100. Other ranks raise DimensionError, as in :func:`ssim`.
+
+    Each band is cast to float64 on its own, inside the subtraction, so no
+    float64 copy of the whole cube is made; the cast is exact, so the
+    result is that of the cube cast whole.
+    """
+    pred, target = _image_pair(pred, target)
     vals = []
     for p, t in zip(pred, target):
         d = np.subtract(p, t, dtype=np.float64)
@@ -151,14 +162,7 @@ def ssim(pred, target):
     mean lands in its own slot, and the mean over the bands runs in band
     order, so the result does not depend on the CPU count.
     """
-    pred = np.asarray(pred)
-    target = np.asarray(target)
-    if pred.shape != target.shape:
-        raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
-    if pred.ndim == 2:
-        pred, target = pred[None], target[None]
-    if pred.ndim != 3:
-        raise DimensionError(f"SSIM takes 2-D or 3-D images, got shape {pred.shape}")
+    pred, target = _image_pair(pred, target)
     n = _SSIM_WINDOW.size
     h, w = pred.shape[1:]
     if min(h, w) < n:
@@ -316,6 +320,7 @@ def evaluate(net, scenes, sys):
 
     Returns ([(name, psnr_db, ssim), ...], (avg_psnr, avg_ssim)). The
     forwards run under :func:`layers.inference`, keeping no backward caches.
+    No scene raises ArgumentError: there is no average to report.
     """
     m_in = cassi.shift_mask(sys)[None]
     rows = []
@@ -325,6 +330,8 @@ def evaluate(net, scenes, sys):
         with layers.inference():
             pred = net.forward(h_in.astype(net.dtype), m_in.astype(net.dtype))[0]
         rows.append((f"scene{i}", psnr(pred, cube), ssim(pred, cube)))
+    if not rows:
+        raise ArgumentError("evaluate needs at least one scene")
     avg = (
         float(np.mean([r[1] for r in rows])),
         float(np.mean([r[2] for r in rows])),

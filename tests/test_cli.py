@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from bisrnet.cli import main
+from bisrnet.cli import build_parser, main
 from bisrnet.hst import write_hst
 
 
@@ -264,6 +264,13 @@ class TestConfigFile:
         assert run_cli("count", "--height", "64", "--width", "32",
                        "--channels", "8", "--wavelengths", "8") == 0
         assert first == capsys.readouterr().out
+
+
+    def test_flag_lines_split_as_on_the_command_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('--steps 3\n--batch 1 --patch 16\n--out "a b"\nseed=4\n')
+        args = build_parser().parse_args(["train", f"@{cfg}", "--batch", "2"])
+        assert (args.steps, args.batch, args.patch, args.out, args.seed) == (3, 2, 16, "a b", 4)
 
 
 class TestEntryPoint:

@@ -108,6 +108,10 @@ class TestCosineLR:
         with pytest.raises(ArgumentError):
             cosine_lr(101, 100, 1e-3, 1e-5)
 
+    def test_schedule_without_steps_rejected(self):
+        with pytest.raises(ArgumentError, match="total steps must be >= 1, got 0"):
+            cosine_lr(0, 0, 1e-3, 1e-5)
+
 
 class TestMetrics:
     def test_identical_images(self):
@@ -234,9 +238,13 @@ class TestMetrics:
         pred = np.clip(target + 0.1 * rng.standard_normal(target.shape, np.float32), 0, 1)
         assert ssim(pred, target) == pytest.approx(reference_ssim(pred, target), abs=1e-12)
 
-    def test_ssim_rejects_other_ranks(self):
+    @pytest.mark.parametrize("metric", [psnr, ssim], ids=["psnr", "ssim"])
+    @pytest.mark.parametrize("shape", [(), (16,), (1, 2, 16, 16)], ids=["0d", "1d", "4d"])
+    def test_metrics_reject_other_ranks(self, metric, shape):
+        # psnr used to score a 1-D pair 0.0 dB, average a 4-D batch per
+        # item and raise a bare TypeError at 0-d.
         with pytest.raises(DimensionError, match="2-D or 3-D"):
-            ssim(np.zeros((1, 2, 16, 16)), np.zeros((1, 2, 16, 16)))
+            metric(np.zeros(shape), np.zeros(shape))
 
     def test_too_small_for_ssim(self):
         with pytest.raises(DimensionError):
@@ -325,6 +333,11 @@ class TestTrainLoop:
         rows, avg = evaluate(net, scenes, sys)
         assert len(rows) == 2
         assert avg[0] == pytest.approx(np.mean([r[1] for r in rows]))
+
+    def test_evaluate_without_scenes_rejected(self):
+        sys = CassiSystem(random_mask(0, 16, 16), step=2, n_bands=8)
+        with pytest.raises(ArgumentError, match="at least one scene"):
+            evaluate(tiny_net(seed=1), [], sys)
 
 
 class TestCheckpoint:
