@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: simulate, train, eval, count, ste-analyze, pack-bench.
-Every run that writes files also writes a plain-text manifest.txt next to
-them with the fully resolved configuration, sufficient to reproduce the
-outputs bit for bit.
+A command names each file it writes through ``_out_path``, which creates
+``--out`` on first use and records the path. After a command succeeds,
+``main`` alone writes a plain-text manifest.txt there, if the command
+recorded any path: the fully resolved configuration, sufficient to
+reproduce the outputs bit for bit, then the recorded paths in order. A
+failed command leaves no manifest.
 
 Arguments can come from a config file via ``@file``. Each line is either
 ``key=value`` or flags split as on the command line (``--steps 3``);
@@ -38,27 +41,39 @@ def _fmt(v):
     return str(v)
 
 
+def _write_rows(fh, header, rows):
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(fh, header, rows)
 
 
-def write_manifest(out_dir, args, outputs):
+def _out_path(args, name):
+    """The path of ``name`` under ``--out``, which is created on first use.
+    The path is recorded for the manifest."""
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    args.outputs.append(path)
+    return path
+
+
+def write_manifest(args):
     lines = [
         f"command={args.command}",
         f"version={__version__}",
         f"argv={shlex.join(args.argv)}",
     ]
     for key, value in sorted(vars(args).items()):
-        if key in ("command", "func", "argv"):
+        if key in ("command", "func", "argv", "outputs"):
             continue
         lines.append(f"{key}={value}")
-    for out in outputs:
-        lines.append(f"output={out}")
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+    lines += [f"output={out}" for out in args.outputs]
+    with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -118,8 +133,6 @@ def cmd_simulate(args):
     h_in = cassi.shift_back(y, sys_)
     m_in = cassi.shift_mask(sys_)
 
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
     for name, arr in [
         ("measurement.hst", y[None, None]),
         ("shifted_input.hst", h_in[None]),
@@ -127,12 +140,8 @@ def cmd_simulate(args):
         ("scene.hst", cube[None]),
         ("mask.hst", mask[None, None]),
     ]:
-        path = os.path.join(args.out, name)
-        write_hst(path, arr)
-        outputs.append(path)
-    write_manifest(args.out, args, outputs)
+        write_hst(_out_path(args, name), arr)
     print(f"wrote measurement {y.shape[0]}x{y.shape[1]} and shifted tensors to {args.out}")
-    return 0
 
 
 def cmd_train(args):
@@ -151,14 +160,9 @@ def cmd_train(args):
                                 n_scenes=args.scenes, sys_step=args.step)
     history = train(net, tcfg, batch_fn, log_every=args.log_every)
 
-    os.makedirs(args.out, exist_ok=True)
-    hist_path = os.path.join(args.out, "history.csv")
-    write_csv(hist_path, ["step", "lr", "loss"], history)
-    ckpt_dir = os.path.join(args.out, "checkpoint")
-    save_checkpoint(net, ckpt_dir)
-    write_manifest(args.out, args, [hist_path, ckpt_dir])
+    write_csv(_out_path(args, "history.csv"), ["step", "lr", "loss"], history)
+    save_checkpoint(net, _out_path(args, "checkpoint"))
     print(f"final rmse {history[-1][2]:.6g} after {len(history)} steps; wrote {args.out}")
-    return 0
 
 
 def cmd_eval(args):
@@ -187,13 +191,9 @@ def cmd_eval(args):
         sys_ = cassi.CassiSystem(mask, step=args.step, n_bands=cfg.n_wavelengths)
         rows, _ = evaluate(net, scenes, sys_)
     avg = ("average", float(np.mean([r[1] for r in rows])), float(np.mean([r[2] for r in rows])))
-    os.makedirs(args.out, exist_ok=True)
-    metrics_path = os.path.join(args.out, "metrics.csv")
-    write_csv(metrics_path, ["scene", "psnr_db", "ssim"], rows + [avg])
-    write_manifest(args.out, args, [metrics_path])
+    write_csv(_out_path(args, "metrics.csv"), ["scene", "psnr_db", "ssim"], rows + [avg])
     for row in rows + [avg]:
         print(f"{row[0]}: psnr {row[1]:.6g} dB, ssim {row[2]:.6g}")
-    return 0
 
 
 def cmd_count(args):
@@ -202,16 +202,9 @@ def cmd_count(args):
     acc = net.count(args.height, args.width)
     header = ["part", "params_f", "params_b", "ops_f", "ops_b"]
     rows = acc.rows()
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    _write_rows(sys.stdout, header, rows)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "accounting.csv")
-        write_csv(path, header, rows)
-        write_manifest(args.out, args, [path])
-    return 0
+        write_csv(_out_path(args, "accounting.csv"), header, rows)
 
 
 def cmd_ste_analyze(args):
@@ -231,15 +224,11 @@ def cmd_ste_analyze(args):
                 approx_error_area_numeric(kind, args.alpha),
             )
         )
-    os.makedirs(args.out, exist_ok=True)
-    curves_path = os.path.join(args.out, "ste_curves.csv")
-    areas_path = os.path.join(args.out, "ste_areas.csv")
-    write_csv(curves_path, ["kind", "x", "value", "grad"], curve_rows)
-    write_csv(areas_path, ["kind", "alpha", "area", "area_numeric"], area_rows)
-    write_manifest(args.out, args, [curves_path, areas_path])
+    write_csv(_out_path(args, "ste_curves.csv"), ["kind", "x", "value", "grad"], curve_rows)
+    write_csv(_out_path(args, "ste_areas.csv"), ["kind", "alpha", "area", "area_numeric"],
+              area_rows)
     for row in area_rows:
         print(f"{row[0]}: area {row[2]:.6g} (quadrature {row[3]:.6g})")
-    return 0
 
 
 def cmd_pack_bench(args):
@@ -258,12 +247,9 @@ def cmd_pack_bench(args):
     ratio = dense_bytes / packed_bytes
     print(f"shape {shape}: dense {dense_bytes} B, packed {packed_bytes} B, ratio {ratio:.6g}x")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "pack_bench.csv")
-        write_csv(path, ["n", "c", "h", "w", "dense_bytes", "packed_bytes", "ratio"],
+        write_csv(_out_path(args, "pack_bench.csv"),
+                  ["n", "c", "h", "w", "dense_bytes", "packed_bytes", "ratio"],
                   [(n, c, h, w, dense_bytes, packed_bytes, ratio)])
-        write_manifest(args.out, args, [path])
-    return 0
 
 
 def build_parser():
@@ -356,11 +342,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     # The manifest records the argv parsed here, not the process's.
     args.argv = sys.argv[1:] if argv is None else argv
+    args.outputs = []
     try:
-        return args.func(args)
+        args.func(args)
+        if args.outputs:
+            write_manifest(args)
     except Exception as exc:  # argparse usage errors exit(2) before this
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 
+from .errors import DimensionError
+
 MAGIC = b"HST1"
 
 
@@ -19,7 +21,7 @@ def write_hst(path, array):
     """Write a 4-D array as float32. Non-float32 input is cast."""
     a = np.asarray(array)
     if a.ndim != 4:
-        raise ValueError(f"expected a 4-D array, got shape {a.shape}")
+        raise DimensionError(f"expected a 4-D array, got shape {a.shape}")
     a = np.ascontiguousarray(a, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -91,6 +91,10 @@ gradients they return and accumulate keep that dtype too. The conv
 layers, :class:`Pool2` and :class:`Up2` also raise DimensionError, naming
 the layer and both shapes, for a ``grad_out`` whose shape is not their
 output's, which numpy would otherwise broadcast.
+Both 1-bit layers put their input through :func:`tensor.conv_out_shape`
+before anything reads it, so an input of another rank or channel count
+raises DimensionError on the sign and surrogate paths alike and leaves no
+cache.
 
 Three building blocks make up the paper's modules:
 
@@ -413,6 +417,7 @@ class VanillaBinConv(_Conv):
         as int16 where they fit and in x's float dtype beyond, and sign(x_r)
         goes straight into bits."""
         self._check_dtype(x)
+        conv_out_shape(x.shape, self.weight.value.shape, self.stride, self.pad)
         surrogate = _use_surrogate.get()
         alpha = float(self.alpha.value) if self.alpha is not None else 1.0
         scale, w_sign = binarize_weights(self.weight.value)
@@ -544,10 +549,6 @@ class BiSRConv(VanillaBinConv):
         return out
 
     def forward(self, x):
-        if x.shape[1] != self.channels:
-            raise DimensionError(
-                f"{self.name}: expected {self.channels} channels, got {x.shape[1]}"
-            )
         scale, raw = self._binconv(x)
         return self._residual_rprelu(x, np.asarray(scale, x.dtype), raw)
 
@@ -652,6 +653,8 @@ class Pool2(Layer):
         self.name = name
 
     def count_macs(self, h, w):
+        if h % 2 or w % 2:
+            raise DimensionError(f"{self.name}: 2x2 pooling needs even h, w; got {h}x{w}")
         return 0, h // 2, w // 2
 
     def forward(self, x):
@@ -727,8 +730,8 @@ class BinFusionDown(TwoBranch):
         self.half = c_in // 2
 
     def forward(self, x):
-        if x.shape[1] != self.c_in:
-            raise DimensionError(f"{self.name}: expected {self.c_in} channels, got {x.shape[1]}")
+        if x.ndim != 4 or x.shape[1] != self.c_in:
+            raise DimensionError(f"{self.name}: expected (n, {self.c_in}, h, w), got {x.shape}")
         a, b = split_channels(x, self.half)
         half = np.asarray(0.5, x.dtype)
         return half * (self.branch_a.forward(a) + self.branch_b.forward(b))

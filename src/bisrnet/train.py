@@ -20,12 +20,15 @@ def rmse_loss(pred, target):
     """Root-mean-square error and its gradient w.r.t. pred.
 
     grad = (pred - target) / (N * loss), with the loss floored at 1e-12 to
-    keep the gradient finite at an exact fit.
+    keep the gradient finite at an exact fit. Empty arrays raise
+    DimensionError.
     """
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
+    if pred.size == 0:
+        raise DimensionError(f"rmse_loss needs non-empty arrays, got shape {pred.shape}")
     diff = pred - target
     loss = float(np.sqrt(np.mean(diff.astype(np.float64) ** 2)))
     grad = diff / np.asarray(pred.size * max(loss, LOSS_FLOOR), pred.dtype)
@@ -78,7 +81,8 @@ def adam_step(params, state, lr):
 
 def _image_pair(pred, target):
     """``pred`` and ``target`` as arrays of one 3-D (bands, h, w) shape, a
-    2-D image as one band. Any other shape or rank raises DimensionError."""
+    2-D image as one band. Any other shape or rank, or an empty image,
+    raises DimensionError."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
@@ -87,6 +91,8 @@ def _image_pair(pred, target):
         pred, target = pred[None], target[None]
     if pred.ndim != 3:
         raise DimensionError(f"PSNR and SSIM take 2-D or 3-D images, got shape {pred.shape}")
+    if pred.size == 0:
+        raise DimensionError(f"PSNR and SSIM take non-empty images, got shape {pred.shape}")
     return pred, target
 
 

@@ -1,5 +1,7 @@
+import ast
 import csv
 import filecmp
+import inspect
 import math
 import os
 import shlex
@@ -9,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from bisrnet import __version__, cli
 from bisrnet.cli import build_parser, main
 from bisrnet.hst import write_hst
 
@@ -245,6 +248,57 @@ class TestTrainEval:
         assert not (out / "metrics.csv").exists()
 
 
+# Every command that writes files: its argv, the entries it writes under
+# --out in the order the manifest lists them, and the manifest's key=value
+# lines for the parsed arguments. The lines are pinned byte for byte, since
+# they are what reproduces a run.
+WRITERS = {
+    "simulate": (
+        "simulate --synth --height 16 --width 16 --wavelengths 4 --out o",
+        "measurement.hst shifted_input.hst shifted_mask.hst scene.hst mask.hst",
+        "height=16 mask=None noise=False noise_bit_depth=11 out=o scene=None seed=0 step=2 "
+        "synth=True wavelengths=4 width=16",
+    ),
+    "train": (
+        "train --channels 8 --wavelengths 8 --steps 2 --batch 1 --patch 16 --out o",
+        "history.csv checkpoint",
+        "batch=1 binarize=all channels=8 log_every=0 lr_max=0.0004 lr_min=1e-06 "
+        "module_style=binarized no_sr=False noise=False out=o patch=16 scene_size=None "
+        "scenes=4 seed=0 ste=tanh step=2 steps=2 wavelengths=8",
+    ),
+    "eval": (
+        "eval --channels 8 --wavelengths 8 --synth-scenes 1 --height 24 --width 24 --out o",
+        "metrics.csv",
+        "binarize=all channels=8 checkpoint=None height=24 module_style=binarized no_sr=False "
+        "out=o pred=None seed=0 ste=tanh step=2 synth_scenes=1 target=None wavelengths=8 "
+        "width=24",
+    ),
+    "eval-pair": (
+        "eval --pred cube.hst --target cube.hst --out o",
+        "metrics.csv",
+        "binarize=all channels=28 checkpoint=None height=64 module_style=binarized "
+        "no_sr=False out=o pred=cube.hst seed=0 ste=tanh step=2 synth_scenes=2 "
+        "target=cube.hst wavelengths=28 width=64",
+    ),
+    "count": (
+        "count --channels 8 --wavelengths 8 --height 32 --width 32 --out o",
+        "accounting.csv",
+        "binarize=all channels=8 height=32 module_style=binarized no_sr=False out=o ste=tanh "
+        "wavelengths=8 width=32",
+    ),
+    "ste-analyze": (
+        "ste-analyze --points 5 --out o",
+        "ste_curves.csv ste_areas.csv",
+        "alpha=1.0 half_width=3.0 out=o points=5 ste=all",
+    ),
+    "pack-bench": (
+        "pack-bench --shape 1,4,2,2 --out o",
+        "pack_bench.csv",
+        "out=o seed=0 shape=1,4,2,2",
+    ),
+}
+
+
 class TestManifest:
     def test_records_the_parsed_argv(self, tmp_path):
         # Not the process's argv, which under pytest holds pytest's own.
@@ -253,6 +307,49 @@ class TestManifest:
         assert main(argv) == 0
         lines = (tmp_path / "a b" / "manifest.txt").read_text().splitlines()
         assert f"argv={shlex.join(argv)}" in lines
+
+    @pytest.mark.parametrize("case", list(WRITERS))
+    def test_lists_what_the_command_wrote(self, tmp_path, monkeypatch, case):
+        argv, names, keys = (text.split() for text in WRITERS[case])
+        monkeypatch.chdir(tmp_path)
+        write_hst("cube.hst", np.zeros((1, 2, 12, 12), np.float32))
+        assert main(argv) == 0
+        assert sorted(os.listdir("o")) == sorted(names + ["manifest.txt"])
+        lines = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+        head = [f"command={argv[0]}", f"version={__version__}", f"argv={shlex.join(argv)}"]
+        assert lines == head + keys + [f"output=o/{name}" for name in names]
+
+    @pytest.mark.parametrize("command", ["count", "pack-bench"])
+    def test_no_out_creates_nothing(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = WRITERS[command][0].split()
+        assert main(argv[: argv.index("--out")]) == 0
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_command_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        # history.csv is written before the checkpoint fails.
+        def fail(net, path):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "save_checkpoint", fail)
+        assert main(WRITERS["train"][0].split()) == 1
+        assert "error: cannot write o/checkpoint" in capsys.readouterr().err
+        assert os.listdir("o") == ["history.csv"]
+
+    def test_one_place_writes_outputs(self):
+        # write_manifest runs only in main, --out is created only in
+        # _out_path, and one row writer feeds both files and stdout.
+        tree = ast.parse(inspect.getsource(cli))
+        callers = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        callers.setdefault(ast.unparse(node.func), set()).add(fn.name)
+        assert callers["write_manifest"] == {"main"}
+        assert callers["os.makedirs"] == {"_out_path"}
+        assert callers["csv.writer"] == {"_write_rows"}
 
 
 class TestConfigFile:

@@ -1,8 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from bisrnet.errors import DimensionError
 from bisrnet.hst import MAGIC, read_hst, write_hst
 
 
@@ -46,5 +48,8 @@ class TestHstFormat:
             read_hst(path)
 
     def test_non_4d_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_hst(tmp_path / "x.hst", np.zeros((2, 2)))
+        path = tmp_path / "x.hst"
+        for shape in [(2, 2), (1, 1, 2, 2, 1)]:
+            with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+                write_hst(path, np.zeros(shape))
+            assert not path.exists()

@@ -244,6 +244,35 @@ def test_grad_out_of_another_shape_rejected(build, out_shape):
         layer.backward(np.ones(g_shape, np.float32))
 
 
+def _with_sublayers(layer):
+    yield layer
+    for sub in layer.layers:
+        yield from _with_sublayers(sub)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: VanillaBinConv(4, 4, 3, 1, 1, rng, name="bin"),
+    lambda rng: BiSRConv(4, rng, name="bisr"),
+    lambda rng: BiSRConv(4, rng, redistribute=False, name="bisr"),
+    lambda rng: NormalDown(4, rng, name="ndown"),
+    lambda rng: NormalFuse(4, 2, rng, name="nfuse"),
+    lambda rng: BinFusionDown(4, rng, name="bifd"),
+], ids=["VanillaBinConv", "BiSRConv", "BiSRConv-no-sr", "NormalDown", "NormalFuse",
+        "BinFusionDown"])
+@pytest.mark.parametrize("shape", [(4, 4, 8), (1, 4, 8, 8, 1), (1, 6, 8, 8)],
+                         ids=["3-D", "5-D", "channels"])
+@pytest.mark.parametrize("surrogate", [False, True], ids=["sign", "surrogate"])
+def test_1bit_input_of_another_shape_rejected(build, shape, surrogate):
+    # One input rule on both paths: the 3-D and 5-D inputs hold 4 at axis 1,
+    # so only a rank check refuses them, and nothing is cached.
+    layer = build(np.random.default_rng(11))
+    x = np.ones(shape, np.float32)
+    message = re.escape(str(shape)) if len(shape) != 4 else r"6 channels|\(1, 6, 8, 8\)"
+    with layers.surrogate(surrogate), pytest.raises(DimensionError, match=message):
+        layer.forward(x)
+    assert all(sub._cache is None for sub in _with_sublayers(layer))
+
+
 class TestConvBlock:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(7)
@@ -517,6 +546,14 @@ class TestCounts:
         assert (macs, h, w) == (9 * 16, 4, 4)
         macs, h, w = BinDownsample(4, np.random.default_rng(0)).count_macs(8, 8)
         assert (macs, h, w) == (2 * 4 * 4 * 9 * 16, 4, 4)
+
+    @pytest.mark.parametrize("h,w", [(5, 4), (4, 5)])
+    def test_pool_counts_only_what_it_pools(self, h, w):
+        # avg_pool2x2 refuses an odd size, so its count does too.
+        with pytest.raises(DimensionError, match=f"^p: 2x2 pooling needs even h, w; got {h}x{w}$"):
+            Pool2("p").count_macs(h, w)
+        with pytest.raises(DimensionError):
+            Pool2("p").forward(np.ones((1, 1, h, w), np.float32))
 
 
 # One small instance and input shape per layer class, for the state guard.

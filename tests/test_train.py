@@ -59,6 +59,12 @@ class TestRmseLoss:
         with pytest.raises(DimensionError):
             rmse_loss(np.zeros((1, 2)), np.zeros((2, 1)))
 
+    def test_empty_input_rejected(self):
+        # The mean of nothing would be nan, with only a RuntimeWarning.
+        empty = np.zeros((0, 2, 3, 3), np.float32)
+        with pytest.raises(DimensionError, match=r"non-empty arrays, got shape \(0, 2, 3, 3\)"):
+            rmse_loss(empty, empty)
+
 
 class TestAdam:
     def make_param(self, value):
@@ -114,6 +120,17 @@ class TestCosineLR:
 
 
 class TestMetrics:
+    @pytest.mark.parametrize("metric", [psnr, ssim], ids=["psnr", "ssim"])
+    def test_no_bands_rejected(self, metric):
+        empty = np.zeros((0, 16, 16))
+        with pytest.raises(DimensionError, match=r"non-empty images, got shape \(0, 16, 16\)"):
+            metric(empty, empty)
+
+    def test_psnr_of_empty_bands_rejected(self):
+        empty = np.zeros((2, 0, 0))
+        with pytest.raises(DimensionError, match=r"non-empty images, got shape \(2, 0, 0\)"):
+            psnr(empty, empty)
+
     def test_identical_images(self):
         rng = np.random.default_rng(1)
         img = rng.random((4, 32, 32))
