@@ -8,9 +8,14 @@ recorded any path: the fully resolved configuration, sufficient to
 reproduce the outputs bit for bit, then the recorded paths in order. A
 failed command leaves no manifest.
 
+The train flags mirror ``TrainConfig``'s fields (``lr_max`` is
+``--lr-max``), with its types and defaults; the network flags take their
+defaults from ``NetworkConfig``.
+
 Arguments can come from a config file via ``@file``. Each line is either
-``key=value`` or flags split as on the command line (``--steps 3``);
-explicit flags given after the file reference win:
+``key=value`` or flags split as on the command line (``--steps 3``); a
+key may be spelled with ``_`` as in the manifest or with ``-`` as on the
+command line. Explicit flags given after the file reference win:
 
     bisrnet train @desk.cfg --steps 100
 
@@ -19,6 +24,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 
 import argparse
 import csv
+import dataclasses
 import os
 import shlex
 import sys
@@ -77,40 +83,39 @@ def write_manifest(args):
         fh.write("\n".join(lines) + "\n")
 
 
+_PARTS = ("encoder", "bottleneck", "decoder")
+
+
 def network_config_from_args(args):
-    flags = {"encoder": False, "bottleneck": False, "decoder": False}
     spec = args.binarize.strip().lower()
-    if spec == "all":
-        flags = dict.fromkeys(flags, True)
-    elif spec != "none":
-        for name in spec.split(","):
-            name = name.strip()
-            if name not in flags:
-                raise ArgumentError(
-                    f"--binarize expects parts from encoder,bottleneck,decoder or all/none, got {name!r}"
-                )
-            flags[name] = True
+    names = {"all": _PARTS, "none": ()}.get(spec, [name.strip() for name in spec.split(",")])
+    for name in names:
+        if name not in _PARTS:
+            raise ArgumentError(
+                f"--binarize expects parts from {','.join(_PARTS)} or all/none, got {name!r}"
+            )
     return NetworkConfig(
         base_channels=args.channels,
         n_wavelengths=args.wavelengths,
-        binarize_encoder=flags["encoder"],
-        binarize_bottleneck=flags["bottleneck"],
-        binarize_decoder=flags["decoder"],
         ste=args.ste,
         module_style=args.module_style,
         redistribution=not args.no_sr,
+        **{f"binarize_{part}": part in names for part in _PARTS},
     )
 
 
 def add_network_flags(p):
-    p.add_argument("--channels", type=int, default=28, help="base channel width C")
-    p.add_argument("--wavelengths", type=int, default=28, help="number of spectral bands")
+    p.add_argument("--channels", type=int, default=NetworkConfig.base_channels,
+                   help="base channel width C")
+    p.add_argument("--wavelengths", type=int, default=NetworkConfig.n_wavelengths,
+                   help="number of spectral bands")
     p.add_argument("--binarize", default="all",
-                   help="comma list of parts (encoder,bottleneck,decoder), or all / none")
-    p.add_argument("--ste", choices=["clip", "quad", "tanh"], default="tanh")
+                   help=f"comma list of parts ({','.join(_PARTS)}), or all / none")
+    p.add_argument("--ste", choices=["clip", "quad", "tanh"], default=NetworkConfig.ste)
     p.add_argument("--no-sr", action="store_true",
                    help="disable the spectral redistribution (gain/shift) stage")
-    p.add_argument("--module-style", choices=["binarized", "normal"], default="binarized")
+    p.add_argument("--module-style", choices=["binarized", "normal"],
+                   default=NetworkConfig.module_style)
 
 
 def cmd_simulate(args):
@@ -147,15 +152,7 @@ def cmd_simulate(args):
 def cmd_train(args):
     cfg = network_config_from_args(args)
     net = build(cfg, seed=args.seed)
-    tcfg = TrainConfig(
-        steps=args.steps,
-        batch=args.batch,
-        lr_max=args.lr_max,
-        lr_min=args.lr_min,
-        patch=args.patch,
-        seed=args.seed,
-        noise=args.noise,
-    )
+    tcfg = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     batch_fn = synthetic_stream(cfg.n_wavelengths, tcfg, scene_size=args.scene_size,
                                 n_scenes=args.scenes, sys_step=args.step)
     history = train(net, tcfg, batch_fn, log_every=args.log_every)
@@ -277,13 +274,12 @@ def build_parser():
 
     p = sub.add_parser("train", help="train on synthetic scenes")
     add_network_flags(p)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--patch", type=int, default=48)
-    p.add_argument("--lr-max", type=float, default=4e-4)
-    p.add_argument("--lr-min", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", action="store_true")
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=f.type, default=f.default)
     p.add_argument("--scene-size", type=int, default=None)
     p.add_argument("--scenes", type=int, default=4, help="synthetic scene pool size")
     p.add_argument("--step", type=int, default=2)
@@ -334,7 +330,7 @@ def _config_line_to_args(line):
         return []
     if "=" in line and not line.startswith("-"):
         key, value = line.split("=", 1)
-        return [f"--{key.strip()}={value.strip()}"]
+        return [f"--{key.strip().replace('_', '-')}={value.strip()}"]
     return shlex.split(line)
 
 

@@ -66,17 +66,20 @@ def conv_out_shape(x_shape, w_shape, stride, pad):
     """The (n, c_out, ho, wo) output shape of a conv of an ``x_shape`` input
     with a ``w_shape`` weight, after checking every argument of the conv.
 
-    The input must be 4-D and the weight (c_out, c_in, k, k) with k 1, 3 or
-    4 and the input's channel count: DimensionError otherwise. ``stride``
-    below 1 or ``pad`` below 0 raises ArgumentError. A kernel larger than
-    the padded input raises DimensionError. Output size per spatial axis
-    is floor((size + 2*pad - k)/stride) + 1.
+    The input must be 4-D with at least one image, and the weight
+    (c_out, c_in, k, k) with k 1, 3 or 4 and the input's channel count:
+    DimensionError otherwise. ``stride`` below 1 or ``pad`` below 0 raises
+    ArgumentError. A kernel larger than the padded input raises
+    DimensionError. Output size per spatial axis is
+    floor((size + 2*pad - k)/stride) + 1.
     """
     if len(x_shape) != 4:
         raise DimensionError(f"input must be 4-D (n, c, h, w), got shape {tuple(x_shape)}")
     if len(w_shape) != 4 or w_shape[2] != w_shape[3]:
         raise DimensionError(f"weight must be (c_out, c_in, k, k), got {tuple(w_shape)}")
     n, c_in, h, w = x_shape
+    if n < 1:
+        raise DimensionError(f"input must hold at least one image, got shape {tuple(x_shape)}")
     c_out, w_c_in, k, _ = w_shape
     if k not in (1, 3, 4):
         raise DimensionError(f"kernel size {k} not supported (use 1, 3 or 4)")

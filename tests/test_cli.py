@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import filecmp
 import inspect
 import math
@@ -14,6 +15,8 @@ import pytest
 from bisrnet import __version__, cli
 from bisrnet.cli import build_parser, main
 from bisrnet.hst import write_hst
+from bisrnet.network import NetworkConfig
+from bisrnet.train import TrainConfig
 
 
 def read_csv(path):
@@ -352,6 +355,34 @@ class TestManifest:
         assert callers["csv.writer"] == {"_write_rows"}
 
 
+class TestSettings:
+    def test_defaults_are_those_of_the_configs(self):
+        args = build_parser().parse_args(["train", "--out", "o"])
+        for f in dataclasses.fields(TrainConfig):
+            got, want = getattr(args, f.name), getattr(TrainConfig(), f.name)
+            assert (got, type(got)) == (want, type(want)), f.name
+        assert cli.network_config_from_args(args) == NetworkConfig()
+
+    @pytest.mark.parametrize("spec, want", [
+        ("all", (True, True, True)),
+        ("none", (False, False, False)),
+        (" Encoder, decoder", (True, False, True)),
+        ("bottleneck", (False, True, False)),
+    ])
+    def test_binarize_names_the_parts(self, spec, want):
+        args = build_parser().parse_args(["count", "--binarize", spec])
+        cfg = cli.network_config_from_args(args)
+        assert (cfg.binarize_encoder, cfg.binarize_bottleneck, cfg.binarize_decoder) == want
+
+    @pytest.mark.parametrize("spec, name", [("encoder,foo", "'foo'"), ("encoder,", "''")])
+    def test_binarize_unknown_part_fails(self, capsys, spec, name):
+        assert run_cli("count", "--binarize", spec) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --binarize expects parts from encoder,bottleneck,decoder"
+                                f" or all/none, got {name}\n")
+
+
 class TestConfigFile:
     def test_key_value_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -365,9 +396,11 @@ class TestConfigFile:
 
     def test_flag_lines_split_as_on_the_command_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text('--steps 3\n--batch 1 --patch 16\n--out "a b"\nseed=4\n')
+        cfg.write_text('--steps 3\n--batch 1 --patch 16\n--out "a b"\nseed=4\nlr_max=1e-3\n')
         args = build_parser().parse_args(["train", f"@{cfg}", "--batch", "2"])
         assert (args.steps, args.batch, args.patch, args.out, args.seed) == (3, 2, 16, "a b", 4)
+        # A key is spelled as in the manifest (lr_max=0.0004) or as the flag.
+        assert args.lr_max == 1e-3
 
 
 class TestEntryPoint:

@@ -38,6 +38,9 @@ BAD_CONVS = [
      r"^kernel size 5 not supported \(use 1, 3 or 4\)$"),
     ("kernel-beyond-padded-input", (1, 4, 2, 2), (4, 4, 4, 4), 1, 0, DimensionError,
      r"^padded input \(2, 2\) is smaller than the 4x4 kernel$"),
+    # Row blocks are sized per image, so an empty batch has no blocks.
+    ("empty-batch", (0, 4, 8, 8), W3, 1, 1, DimensionError,
+     r"^input must hold at least one image, got shape \(0, 4, 8, 8\)$"),
     # pack() and BitTensor refuse a 3-D operand before bit_conv2d sees it.
     ("input-3d", (4, 8, 8), W3, 1, 1, DimensionError, r"\(n, c, h, w\)"),
 ]

@@ -259,15 +259,19 @@ def _with_sublayers(layer):
     lambda rng: BinFusionDown(4, rng, name="bifd"),
 ], ids=["VanillaBinConv", "BiSRConv", "BiSRConv-no-sr", "NormalDown", "NormalFuse",
         "BinFusionDown"])
-@pytest.mark.parametrize("shape", [(4, 4, 8), (1, 4, 8, 8, 1), (1, 6, 8, 8)],
-                         ids=["3-D", "5-D", "channels"])
+@pytest.mark.parametrize("shape, message", [
+    ((4, 4, 8), r"\(4, 4, 8\)"),
+    ((1, 4, 8, 8, 1), r"\(1, 4, 8, 8, 1\)"),
+    ((1, 6, 8, 8), r"6 channels|\(1, 6, 8, 8\)"),
+    # BinFusionDown names the half it convolves.
+    ((0, 4, 8, 8), r"^input must hold at least one image, got shape \(0, [24], 8, 8\)$"),
+], ids=["3-D", "5-D", "channels", "empty-batch"])
 @pytest.mark.parametrize("surrogate", [False, True], ids=["sign", "surrogate"])
-def test_1bit_input_of_another_shape_rejected(build, shape, surrogate):
+def test_1bit_input_of_another_shape_rejected(build, shape, message, surrogate):
     # One input rule on both paths: the 3-D and 5-D inputs hold 4 at axis 1,
     # so only a rank check refuses them, and nothing is cached.
     layer = build(np.random.default_rng(11))
     x = np.ones(shape, np.float32)
-    message = re.escape(str(shape)) if len(shape) != 4 else r"6 channels|\(1, 6, 8, 8\)"
     with layers.surrogate(surrogate), pytest.raises(DimensionError, match=message):
         layer.forward(x)
     assert all(sub._cache is None for sub in _with_sublayers(layer))

@@ -98,6 +98,16 @@ class TestBuildAndForward:
         with pytest.raises(DimensionError):
             net.forward(np.zeros((1, 4, 18, 18), np.float32), np.zeros((1, 4, 18, 18), np.float32))
 
+    @pytest.mark.parametrize("binarized", [True, False], ids=["bisrnet", "base"])
+    def test_empty_batch_rejected(self, binarized):
+        # The base model used to return a (0, 4, 16, 16) output, and the
+        # binarized one failed with ZeroDivisionError in its row blocks.
+        net = build(tiny_cfg(binarize_encoder=binarized, binarize_bottleneck=binarized,
+                             binarize_decoder=binarized), seed=0)
+        h_in, m_in = tiny_inputs(np.random.default_rng(0), n=0)
+        with pytest.raises(DimensionError, match="^input must hold at least one image"):
+            net.forward(h_in, m_in)
+
     def test_input_of_another_dtype_rejected(self):
         net = build(tiny_cfg(), seed=0)
         h_in, m_in = tiny_inputs(np.random.default_rng(9), dtype=np.float64)
