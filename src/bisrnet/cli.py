@@ -157,8 +157,11 @@ def cmd_train(args):
                                 n_scenes=args.scenes, sys_step=args.step)
     history = train(net, tcfg, batch_fn, log_every=args.log_every)
 
-    write_csv(_out_path(args, "history.csv"), ["step", "lr", "loss"], history)
+    # history.csv is written after the checkpoint, so a failed save leaves
+    # no history that reads like a finished run's.
+    history_path = _out_path(args, "history.csv")
     save_checkpoint(net, _out_path(args, "checkpoint"))
+    write_csv(history_path, ["step", "lr", "loss"], history)
     print(f"final rmse {history[-1][2]:.6g} after {len(history)} steps; wrote {args.out}")
 
 

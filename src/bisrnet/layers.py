@@ -28,14 +28,25 @@ Every layer derives from :class:`Layer`. A composite lists its sub-layers
 in ``layers``, in parameter order, and the base derives ``params``,
 ``param_count`` and ``count_macs`` from them, running them in sequence so
 that each one's output size is the next one's input size. A leaf
-overrides ``params`` and ``count_macs``. A layer that keeps a cache hands
-it to ``_save_cache()`` in forward and takes it back with ``_pop_cache()``
-in backward, which raises StateError when no forward came first; a
-composite without a cache of its own gets the same check from its
-sub-layers.
+overrides ``params`` and ``count_macs``.
 
-``Layer._save_cache`` is the only code that assigns ``_cache``
-(``tests/test_inference.py`` checks this in the source), and one switch
+One rule guards every backward. A forward that keeps a cache hands it to
+``_save_cache(cache, out)`` once its output ``out`` exists, and the shape
+and dtype of ``out`` are kept beside it; a forward that raises saves
+nothing. The backward's first statement takes the cache back through
+``_pop_cache(grad_out)``, which raises, naming the layer, StateError when
+no forward came first, ArgumentError for a ``grad_out`` of another dtype
+than the output's and DimensionError for one of another shape, which numpy
+would otherwise broadcast. Only then does it clear the cache, so a refused
+gradient changes nothing: every cache and Param.grad stays as it was and
+the correct gradient can follow. A composite without a cache of its own
+gets the same checks from the sub-layer whose output is its own.
+:class:`BinFusionUp`, whose branches each see half of the gradient, saves
+an empty cache so that the whole gradient is checked first.
+
+``Layer._save_cache`` is the only code that assigns ``_cache``, and every
+backward of a class that saves a cache starts with ``_pop_cache``
+(``tests/test_inference.py`` checks both in the source). One switch
 decides what it stores. By default it keeps the cache. Inside ``with
 inference():`` it stores None, so an evaluation forward holds nothing
 for a backward that will not come: the caches of a 256x256 forward are
@@ -85,16 +96,11 @@ A conv layer computes in its weights' dtype. :class:`Conv2dFP` and both
 1-bit layers raise ArgumentError, naming the layer and both dtypes, for an
 input of any other dtype, so a float32 network fed float64 inputs stops at
 its first layer. Every float array of a conv layer's forward, its output
-included, then has that one dtype. Their backwards raise the same way for
-a ``grad_out`` of another dtype, before the cache is consumed, so the
-gradients they return and accumulate keep that dtype too. The conv
-layers, :class:`Pool2` and :class:`Up2` also raise DimensionError, naming
-the layer and both shapes, for a ``grad_out`` whose shape is not their
-output's, which numpy would otherwise broadcast.
-Both 1-bit layers put their input through :func:`tensor.conv_out_shape`
-before anything reads it, so an input of another rank or channel count
-raises DimensionError on the sign and surrogate paths alike and leaves no
-cache.
+included, then has that one dtype, and the backward rule keeps the
+gradients they return and accumulate in it too. Both 1-bit layers put
+their input through :func:`tensor.conv_out_shape` before anything reads
+it, so an input of another rank or channel count raises DimensionError on
+the sign and surrogate paths alike and leaves no cache.
 
 Three building blocks make up the paper's modules:
 
@@ -297,28 +303,29 @@ class Layer:
             total += m
         return total, h, w
 
-    def _save_cache(self, cache):
-        """The one writer of ``_cache``: keeps ``cache`` for the backward,
-        or None inside :func:`inference`."""
-        self._cache = cache if _keep_caches.get() else None
+    def _save_cache(self, cache, out=None):
+        """The one writer of ``_cache``: keeps ``cache`` for the backward
+        with the shape and dtype of the forward's output ``out``, or None
+        inside :func:`inference` or when ``cache`` is None."""
+        keep = cache is not None and _keep_caches.get()
+        self._cache = (cache, out.shape, out.dtype) if keep else None
 
-    def _pop_cache(self):
-        cache = self._cache
-        if cache is None:
+    def _pop_cache(self, grad_out):
+        """The cache of the last forward, taken once. Raises StateError
+        when no forward came first, ArgumentError for a ``grad_out`` of
+        another dtype than that forward's output and DimensionError for
+        one of another shape, before anything changes."""
+        if self._cache is None:
             raise StateError(f"{self.name}: backward() before forward()")
+        cache, shape, dtype = self._cache
+        if grad_out.dtype != dtype:
+            raise ArgumentError(
+                f"{self.name}: grad_out dtype {grad_out.dtype} != output dtype {dtype}"
+            )
+        if grad_out.shape != shape:
+            raise DimensionError(f"{self.name}: grad shape {grad_out.shape} != output {shape}")
         self._save_cache(None)
         return cache
-
-    def _check_grad_shape(self, grad_out, x_shape, channels):
-        """Raises DimensionError unless ``grad_out`` has the shape of the
-        output for an input of ``x_shape``: ``channels`` channels at the
-        size that ``count_macs`` gives."""
-        n, _, h, w = x_shape
-        _, ho, wo = self.count_macs(h, w)
-        if grad_out.shape != (n, channels, ho, wo):
-            raise DimensionError(
-                f"{self.name}: grad shape {grad_out.shape} != output {(n, channels, ho, wo)}"
-            )
 
 
 class _Conv(Layer):
@@ -338,12 +345,11 @@ class _Conv(Layer):
     def params(self):
         return [self.weight]
 
-    def _check_dtype(self, x, what="input"):
-        """Raises ArgumentError unless ``x``, the layer's ``what``, has the
-        weight's dtype."""
+    def _check_dtype(self, x):
+        """Raises ArgumentError unless the input ``x`` has the weight's dtype."""
         dt = self.weight.value.dtype
         if x.dtype != dt:
-            raise ArgumentError(f"{self.name}: {what} dtype {x.dtype} != weight dtype {dt}")
+            raise ArgumentError(f"{self.name}: input dtype {x.dtype} != weight dtype {dt}")
 
     def count_macs(self, h, w):
         _, _, ho, wo = conv_out_shape((1, self.c_in, h, w), self.weight.value.shape,
@@ -410,12 +416,13 @@ class VanillaBinConv(_Conv):
         return ste_value(xr, self.ste, alpha), ste_value(self.weight.value, "clip")
 
     def _binconv(self, x):
-        """Convolves the layer input ``x``, writes the cache and returns
-        (scale, raw): scale = mean|w| and raw = conv(sign(x_r), sign(w))
+        """Convolves the layer input ``x`` and returns (scale, raw, cache):
+        scale = mean|w|, raw = conv(sign(x_r), sign(w))
         unscaled, with both signs replaced by their surrogates inside
         :func:`surrogate`. On the sign path the raw sums are integers, kept
         as int16 where they fit and in x's float dtype beyond, and sign(x_r)
-        goes straight into bits."""
+        goes straight into bits. The forward saves the cache with its
+        output."""
         self._check_dtype(x)
         conv_out_shape(x.shape, self.weight.value.shape, self.stride, self.pad)
         surrogate = _use_surrogate.get()
@@ -432,8 +439,7 @@ class VanillaBinConv(_Conv):
                 self._sign_pack(x), bitpack.pack(w_sign), scale=1.0, stride=self.stride,
                 pad=self.pad, out_dtype=np.int16 if n_bits <= _INT16_FAN_IN else x.dtype,
             )
-        self._save_cache((x, surrogate, w_sign, scale, raw, alpha))
-        return scale, raw
+        return scale, raw, (x, surrogate, w_sign, scale, raw, alpha)
 
     def _binconv_backward(self, cache, grad):
         """Takes the gradient wrt scale * raw; accumulates weight.grad, and
@@ -459,14 +465,13 @@ class VanillaBinConv(_Conv):
         return gxb * (alpha * d)
 
     def forward(self, x):
-        scale, raw = self._binconv(x)
-        return np.asarray(scale, x.dtype) * raw
+        scale, raw, cache = self._binconv(x)
+        out = np.asarray(scale, x.dtype) * raw
+        self._save_cache(cache, out)
+        return out
 
     def backward(self, grad_out):
-        self._check_dtype(grad_out, "grad_out")
-        cache = self._pop_cache()
-        self._check_grad_shape(grad_out, cache[0].shape, self.c_out)
-        return self._binconv_backward(cache, grad_out)
+        return self._binconv_backward(self._pop_cache(grad_out), grad_out)
 
 
 class BiSRConv(VanillaBinConv):
@@ -490,7 +495,6 @@ class BiSRConv(VanillaBinConv):
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
                  redistribute=True, name="bisr"):
         super().__init__(channels, channels, 3, 1, 1, rng, dtype, ste, name)
-        self.channels = channels
         self.redistribute = redistribute
         self.gain = Param(f"{name}.gain", np.ones(channels, dtype)) if redistribute else None
         self.shift = Param(f"{name}.shift", np.zeros(channels, dtype)) if redistribute else None
@@ -549,14 +553,14 @@ class BiSRConv(VanillaBinConv):
         return out
 
     def forward(self, x):
-        scale, raw = self._binconv(x)
-        return self._residual_rprelu(x, np.asarray(scale, x.dtype), raw)
+        scale, raw, cache = self._binconv(x)
+        out = self._residual_rprelu(x, np.asarray(scale, x.dtype), raw)
+        self._save_cache(cache, out)
+        return out
 
     def backward(self, grad_out):
-        self._check_dtype(grad_out, "grad_out")
-        cache = self._pop_cache()
+        cache = self._pop_cache(grad_out)
         x, _, _, scale, raw, _ = cache
-        self._check_grad_shape(grad_out, x.shape, self.channels)
         # RPReLU backward, its mask recomputed from the pre-activation y.
         y = np.asarray(scale, x.dtype) * raw
         g = self.gamma.value[None, :, None, None]
@@ -589,13 +593,11 @@ class Conv2dFP(_Conv):
     def forward(self, x):
         self._check_dtype(x)
         y = conv2d_forward(x, self.weight.value, self.bias.value, self.stride, self.pad, 0.0)
-        self._save_cache(x)
+        self._save_cache(x, y)
         return y
 
     def backward(self, grad_out):
-        self._check_dtype(grad_out, "grad_out")
-        x = self._pop_cache()
-        self._check_grad_shape(grad_out, x.shape, self.c_out)
+        x = self._pop_cache(grad_out)
         gx, gw = conv2d_vjp(x, self.weight.value, grad_out, self.stride, self.pad, 0.0)
         self.weight.grad += gw
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
@@ -618,11 +620,12 @@ class ConvBlock(Layer):
         # conv2 caches a as its input; this cache is the same array. With a
         # positive slope, a > 0 exactly where y1 > 0, NaN and -0 included.
         a = np.where(y1 > 0, y1, slope * y1)
-        self._save_cache(a)
-        return x + self.conv2.forward(a)
+        out = x + self.conv2.forward(a)
+        self._save_cache(a, out)
+        return out
 
     def backward(self, grad_out):
-        a = self._pop_cache()
+        a = self._pop_cache(grad_out)
         ga = self.conv2.backward(grad_out)
         slope = np.asarray(LEAKY_SLOPE, ga.dtype)
         return self.conv1.backward(ga * np.where(a > 0, np.asarray(1, ga.dtype), slope)) + grad_out
@@ -658,12 +661,12 @@ class Pool2(Layer):
         return 0, h // 2, w // 2
 
     def forward(self, x):
-        self._save_cache(x.shape)
-        return avg_pool2x2(x)
+        out = avg_pool2x2(x)
+        self._save_cache(x.shape, out)
+        return out
 
     def backward(self, grad_out):
-        x_shape = self._pop_cache()
-        self._check_grad_shape(grad_out, x_shape, x_shape[1])
+        x_shape = self._pop_cache(grad_out)
         return avg_pool2x2_backward(grad_out, x_shape)
 
 
@@ -677,12 +680,12 @@ class Up2(Layer):
         return 0, 2 * h, 2 * w
 
     def forward(self, x):
-        self._save_cache(x.shape)
-        return bilinear_up2(x)
+        out = bilinear_up2(x)
+        self._save_cache(x.shape, out)
+        return out
 
     def backward(self, grad_out):
-        x_shape = self._pop_cache()
-        self._check_grad_shape(grad_out, x_shape, x_shape[1])
+        x_shape = self._pop_cache(grad_out)
         return bilinear_up2_backward(grad_out, x_shape)
 
 
@@ -706,10 +709,12 @@ class BinFusionUp(TwoBranch):
         self.channels = channels
 
     def forward(self, x):
-        a = self.branch_a.forward(x)
-        return concat_channels(a, self.branch_b.forward(x))
+        out = concat_channels(self.branch_a.forward(x), self.branch_b.forward(x))
+        self._save_cache((), out)
+        return out
 
     def backward(self, grad_out):
+        self._pop_cache(grad_out)
         ga, gb = split_channels(grad_out, self.channels)
         return self.branch_a.backward(ga) + self.branch_b.backward(gb)
 

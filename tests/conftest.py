@@ -4,6 +4,12 @@ from bisrnet.binarize import sign
 from bisrnet.tensor import conv2d_ref
 
 
+def cached(layer):
+    """What a layer's last forward kept for its backward, which ``_cache``
+    holds beside the shape and dtype of that forward's output."""
+    return layer._cache[0]
+
+
 def bisr_reference(x, layer):
     """Straight-line recomposition of a BiSRConv forward from primitives.
 

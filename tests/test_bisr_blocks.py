@@ -21,6 +21,8 @@ from bisrnet.errors import ArgumentError
 from bisrnet.layers import BiSRConv, VanillaBinConv
 from bisrnet.tensor import conv2d_ref
 
+from conftest import cached
+
 
 def unfused(layer, x, surrogate=False):
     """x + where-form rprelu(scale * raw), one numpy expression per step.
@@ -122,7 +124,7 @@ def test_vanilla_partial_last_block(monkeypatch, block_elems, channels_last, k, 
     x = make_x(BLOCK_SHAPE, channels_last, np.float32, seed=44)
     layer.forward(x)
     want = conv2d_ref(sign(x), sign(layer.weight.value), stride=stride, pad=pad, pad_value=-1.0)
-    np.testing.assert_array_equal(layer._cache[4], want)
+    np.testing.assert_array_equal(cached(layer)[4], want)
 
 
 @pytest.mark.parametrize("channels_last", [False, True])
@@ -139,7 +141,7 @@ def test_transient_memory_stays_below_one_input(channels_last):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    raw = layer._cache[4]
+    raw = cached(layer)[4]
     assert peak - out.nbytes - raw.nbytes < x.nbytes + 4 * 2**20
 
 
@@ -181,7 +183,7 @@ def test_wide_fan_in_keeps_the_float_dtype():
     layer = VanillaBinConv(3641, 2, 3, 1, 1, rng)
     x = rng.standard_normal((1, 3641, 2, 2)).astype(np.float32)
     out = layer.forward(x)
-    raw = layer._cache[4]
+    raw = cached(layer)[4]
     assert raw.dtype == np.float32 and np.abs(raw).max() > 0
     assert out.dtype == np.float32
     scale = np.float32(np.mean(np.abs(layer.weight.value)))
@@ -201,7 +203,7 @@ def test_float_sums_give_the_int16_bytes(monkeypatch, make):
         monkeypatch.setattr(layers, "_INT16_FAN_IN", fan_in)
         layer = make(np.random.default_rng(94))
         out = layer.forward(x)
-        runs.append((layer._cache[4].dtype, [out, layer.backward(np.ones_like(out))]
+        runs.append((cached(layer)[4].dtype, [out, layer.backward(np.ones_like(out))]
                      + [p.grad for p in layer.params()]))
     (dt16, want), (dt_float, got) = runs
     assert (dt16, dt_float) == (np.int16, np.float32)

@@ -330,7 +330,7 @@ class TestManifest:
         assert os.listdir(tmp_path) == []
 
     def test_failing_command_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
-        # history.csv is written before the checkpoint fails.
+        # history.csv is written only after the checkpoint, so nothing is.
         def fail(net, path):
             raise OSError(f"cannot write {path}")
 
@@ -338,7 +338,7 @@ class TestManifest:
         monkeypatch.setattr(cli, "save_checkpoint", fail)
         assert main(WRITERS["train"][0].split()) == 1
         assert "error: cannot write o/checkpoint" in capsys.readouterr().err
-        assert os.listdir("o") == ["history.csv"]
+        assert os.listdir("o") == []
 
     def test_one_place_writes_outputs(self):
         # write_manifest runs only in main, --out is created only in

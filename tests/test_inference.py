@@ -6,7 +6,9 @@ such a forward gives the bytes of a caching one, leaves the heap holding
 little more than its output, makes a later backward fail loudly, and that
 ``train.evaluate`` runs under it. A static check keeps ``Layer._save_cache``
 the only code in the package that assigns ``_cache``, so a layer added
-later cannot write a cache that the switch does not see.
+later cannot write a cache that the switch does not see. Another keeps
+``Layer._pop_cache(grad_out)`` the first step of every backward that
+takes a cache, and the only check of a gradient's dtype and shape.
 
 Inside ``layers.surrogate()`` the 1-bit forwards replace sign() by its
 surrogate. ``Network.forward`` sets it from its keyword, whatever encloses
@@ -32,6 +34,7 @@ from bisrnet.errors import StateError
 from bisrnet.network import PART_NAMES, NetworkConfig, build
 from bisrnet.train import evaluate
 
+from conftest import cached
 from test_golden import CASES, CONFIGS
 
 
@@ -129,7 +132,7 @@ def uses_surrogate():
     """Whether a 1-bit forward ran its surrogate, as its cache records."""
     layer = layers.VanillaBinConv(2, 2, 1, 1, 0, np.random.default_rng(331))
     layer.forward(np.ones((1, 2, 2, 2), np.float32))
-    return layer._cache[1]
+    return cached(layer)[1]
 
 
 # Each switch with a probe that tells whether it is on.
@@ -233,6 +236,43 @@ def cache_writers(source, module):
 
 def test_only_the_layer_writer_assigns_a_cache():
     assert package_scopes_where(writes_cache) == ["layers.Layer._save_cache"]
+
+
+def calls_self(node, method, args=None):
+    """A call ``self.<method>(...)``; with ``args``, one whose arguments
+    are exactly the names ``args``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "self" and node.func.attr == method
+            and (args is None or [getattr(a, "id", None) for a in node.args] == args))
+
+
+def compares_grad_out(node):
+    """A comparison that reads ``grad_out.shape`` or ``grad_out.dtype``."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Attribute) and n.attr in ("shape", "dtype")
+        and getattr(n.value, "id", None) == "grad_out" for n in ast.walk(node))
+
+
+def test_every_backward_takes_its_cache_first():
+    # A backward of a class that saves a cache, or inherits a method that
+    # does, hands grad_out to _pop_cache in its first statement, and only
+    # _pop_cache compares a grad_out's shape or dtype.
+    source = pathlib.Path(layers.__file__).read_text()
+    classes = {node.name: node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef)}
+    saves = {name for name, node in classes.items() if name != "Layer"
+             and any(calls_self(n, "_save_cache") for n in ast.walk(node))}
+    first_statements = {}
+    for name, node in classes.items():
+        backward = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "backward"]
+        if backward and saves & {c.__name__ for c in getattr(layers, name).__mro__}:
+            first_statements[name] = backward[0].body[0]
+    assert sorted(first_statements) == ["BiSRConv", "BinFusionUp", "Conv2dFP", "ConvBlock",
+                                        "Pool2", "Up2", "VanillaBinConv"]
+    assert {name: any(calls_self(n, "_pop_cache", ["grad_out"]) for n in ast.walk(first))
+            for name, first in first_statements.items()} == dict.fromkeys(first_statements, True)
+    assert scopes_where(source, "layers", compares_grad_out) == ["layers.Layer._pop_cache"] * 2
+    assert "_check_grad_shape" not in source
 
 
 def touches_surrogate_switch(node):

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -26,7 +27,7 @@ from bisrnet.layers import (
 )
 from bisrnet.tensor import avg_pool2x2, bilinear_up2, concat_channels, split_channels
 
-from conftest import bisr_reference, finite_difference_check
+from conftest import bisr_reference, cached, finite_difference_check
 
 
 def rand_pm1(rng, shape, dtype=np.float32):
@@ -108,14 +109,14 @@ class TestBiSRConv:
         layer.forward(x)
         # The signed input is sign(x_r), with x_r recomputed from the cache
         # as the backward recomputes it.
-        np.testing.assert_array_equal(sign(layer._redistribute(layer._cache[0])), x)
+        np.testing.assert_array_equal(sign(layer._redistribute(cached(layer)[0])), x)
 
     def test_cache_holds_input_and_int16_raw_sums(self):
         rng = np.random.default_rng(2)
         layer = BiSRConv(4, rng)
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
         layer.forward(x)
-        cached_x, _, _, _, raw, _ = layer._cache
+        cached_x, _, _, _, raw, _ = cached(layer)
         assert cached_x is x
         assert raw.dtype == np.int16
 
@@ -188,8 +189,9 @@ class TestConv2dFP:
         rng = np.random.default_rng(6)
         layer = Conv2dFP(3, 4, 3, 1, 1, rng)
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        layer.forward(x)
-        assert layer._cache is x
+        y = layer.forward(x)
+        assert cached(layer) is x
+        assert layer._cache[1:] == (y.shape, y.dtype)
 
 
 @pytest.mark.parametrize("build", [
@@ -209,45 +211,78 @@ def test_input_of_another_dtype_rejected(build, layer_dtype, x_dtype, surrogate)
     assert layer._cache is None
 
 
-@pytest.mark.parametrize("build", [
-    lambda rng, dt: Conv2dFP(4, 4, 3, 1, 1, rng, dt, name="fp"),
-    lambda rng, dt: VanillaBinConv(4, 4, 3, 1, 1, rng, dt, name="bin"),
-    lambda rng, dt: BiSRConv(4, rng, dt, name="bisr"),
-], ids=["Conv2dFP", "VanillaBinConv", "BiSRConv"])
-@pytest.mark.parametrize("layer_dtype,g_dtype", [("float32", "float64"), ("float64", "float32")])
-def test_grad_out_of_another_dtype_rejected(build, layer_dtype, g_dtype):
-    # The backward keeps the forward's dtype rule, and raises before it
-    # consumes the cache, so a backward with the right dtype still runs.
-    layer = build(np.random.default_rng(9), np.dtype(layer_dtype))
-    y = layer.forward(np.ones((1, 4, 6, 6), layer_dtype))
-    message = f"^{layer.name}: grad_out dtype {g_dtype} != weight dtype {layer_dtype}$"
-    with pytest.raises(ArgumentError, match=message):
-        layer.backward(np.ones(y.shape, g_dtype))
-    assert layer.backward(np.ones_like(y)).dtype == np.dtype(layer_dtype)
-
-
-@pytest.mark.parametrize("build,out_shape", [
-    (lambda rng: Conv2dFP(4, 6, 4, 2, 1, rng, name="fp"), (1, 6, 4, 4)),
-    (lambda rng: VanillaBinConv(4, 6, 3, 1, 1, rng, name="bin"), (1, 6, 8, 8)),
-    (lambda rng: BiSRConv(4, rng, name="bisr"), (1, 4, 8, 8)),
-    (lambda rng: Pool2("pool"), (1, 4, 4, 4)),
-    (lambda rng: Up2("up"), (1, 4, 16, 16)),
-], ids=["Conv2dFP", "VanillaBinConv", "BiSRConv", "Pool2", "Up2"])
-def test_grad_out_of_another_shape_rejected(build, out_shape):
-    # A gradient that would broadcast against the output is refused, naming
-    # the layer and both shapes.
-    layer = build(np.random.default_rng(10))
-    assert layer.forward(np.ones((1, 4, 8, 8), np.float32)).shape == out_shape
-    g_shape = out_shape[:2] + (1, 1)
-    message = re.escape(f"{layer.name}: grad shape {g_shape} != output {out_shape}")
-    with pytest.raises(DimensionError, match=f"^{message}$"):
-        layer.backward(np.ones(g_shape, np.float32))
-
-
 def _with_sublayers(layer):
     yield layer
     for sub in layer.layers:
         yield from _with_sublayers(sub)
+
+
+# Every layer with a backward, built from a generator and a dtype, and the
+# name of the layer that refuses a gradient unlike the output: the layer
+# itself, or the sub-layer whose output is its own.
+BACKWARDS = {
+    "VanillaBinConv": (lambda rng, dt: VanillaBinConv(4, 6, 3, 1, 1, rng, dt, name="bin"), "bin"),
+    "BiSRConv": (lambda rng, dt: BiSRConv(4, rng, dt, name="bisr"), "bisr"),
+    "BiSRConv-no-sr": (lambda rng, dt: BiSRConv(4, rng, dt, redistribute=False, name="bisr"),
+                       "bisr"),
+    "Conv2dFP": (lambda rng, dt: Conv2dFP(4, 6, 4, 2, 1, rng, dt, name="fp"), "fp"),
+    "ConvBlock": (lambda rng, dt: ConvBlock(4, rng, dt, name="blk"), "blk"),
+    "Pool2": (lambda rng, dt: Pool2("pool"), "pool"),
+    "Up2": (lambda rng, dt: Up2("up"), "up"),
+    "BinFusionUp": (lambda rng, dt: BinFusionUp(4, rng, dt, name="bifu"), "bifu"),
+    "BinFusionDown": (lambda rng, dt: BinFusionDown(4, rng, dt, name="bifd"), "bifd.a"),
+    "BinDownsample": (lambda rng, dt: BinDownsample(4, rng, dt, name="bids"), "bids"),
+    "BinUpsample": (lambda rng, dt: BinUpsample(4, rng, dt, name="bius"), "bius.fuse.a"),
+    "FPUp": (lambda rng, dt: FPUp(4, rng, dt, name="fpup"), "fpup.conv"),
+    "NormalDown": (lambda rng, dt: NormalDown(4, rng, dt, name="ndown"), "ndown.conv"),
+    "NormalUp": (lambda rng, dt: NormalUp(4, rng, dt, name="nup"), "nup.conv"),
+    "NormalFuse": (lambda rng, dt: NormalFuse(4, 2, rng, dt, name="nfuse"), "nfuse.conv"),
+}
+
+
+def _wrong_grad(shape, dtype, case):
+    """A gradient of ``shape`` and ``dtype`` made wrong in one way: one
+    more element along an axis, a (1, 1) image that numpy would
+    broadcast, or the other float dtype."""
+    if case == "dtype":
+        return np.ones(shape, np.float64 if dtype == np.float32 else np.float32)
+    if case == "1x1":
+        return np.ones(shape[:2] + (1, 1), dtype)
+    axis = "nchw".index(case)
+    return np.ones(shape[:axis] + (shape[axis] + 1,) + shape[axis + 1:], dtype)
+
+
+def _state_bytes(layer):
+    return ([pickle.dumps(sub._cache) for sub in _with_sublayers(layer)]
+            + [p.grad.tobytes() for p in layer.params()])
+
+
+@pytest.mark.parametrize("name", BACKWARDS)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("case", ["n", "c", "h", "w", "1x1", "dtype"])
+def test_backward_refuses_a_gradient_unlike_the_output(name, dtype, case):
+    # One rule for every backward: a gradient of another shape or dtype
+    # than the output is refused, naming the layer, before any cache or
+    # parameter gradient changes, so the correct gradient still runs and
+    # gives the bytes of a layer that never saw the wrong one.
+    build, refuser = BACKWARDS[name]
+    layer, twin = (build(np.random.default_rng(10), np.dtype(dtype)) for _ in range(2))
+    x = np.random.default_rng(11).standard_normal((2, 4, 8, 8)).astype(dtype)
+    out = layer.forward(x)
+    twin.forward(x)
+    bad = _wrong_grad(out.shape, out.dtype, case)
+    if case == "dtype":
+        error, message = ArgumentError, f"grad_out dtype {bad.dtype} != output dtype {dtype}"
+    else:
+        error, message = DimensionError, f"grad shape {bad.shape} != output {out.shape}"
+    before = _state_bytes(layer)
+    with pytest.raises(error, match=f"^{re.escape(f'{refuser}: {message}')}$"):
+        layer.backward(bad)
+    assert _state_bytes(layer) == before
+    g = np.random.default_rng(12).standard_normal(out.shape).astype(dtype)
+    got, want = layer.backward(g), twin.backward(g)
+    assert got.dtype == np.dtype(dtype) and got.tobytes() == want.tobytes()
+    assert [p.grad.tobytes() for p in layer.params()] == [p.grad.tobytes() for p in twin.params()]
 
 
 @pytest.mark.parametrize("build", [
@@ -277,6 +312,17 @@ def test_1bit_input_of_another_shape_rejected(build, shape, message, surrogate):
     assert all(sub._cache is None for sub in _with_sublayers(layer))
 
 
+@pytest.mark.parametrize("build, shape, message", [
+    (lambda: Pool2("pool"), (1, 4, 7, 8), "^avg_pool2x2 needs even h, w; got 7x8$"),
+    (lambda: Up2("up"), (4, 8, 8), r"^input must be 4-D \(n, c, h, w\), got shape \(4, 8, 8\)$"),
+], ids=["Pool2-odd-h", "Up2-3-D"])
+def test_resampler_input_it_refuses_leaves_no_cache(build, shape, message):
+    layer = build()
+    with pytest.raises(DimensionError, match=message):
+        layer.forward(np.ones(shape, np.float32))
+    assert layer._cache is None
+
+
 class TestConvBlock:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(7)
@@ -289,7 +335,7 @@ class TestConvBlock:
         rng = np.random.default_rng(7)
         block = ConvBlock(3, rng)
         block.forward(rng.standard_normal((1, 3, 6, 6)).astype(np.float32))
-        assert block._cache is block.conv2._cache
+        assert cached(block) is cached(block.conv2)
 
     def test_inner_convs_linear(self):
         rng = np.random.default_rng(8)
@@ -477,7 +523,7 @@ class TestNormalModules:
         conv.weight.value[...] = np.abs(conv.weight.value) + 0.01
         x = rng.random((1, 3641, 3, 3)).astype(np.float32) + 0.01
         conv.forward(x)
-        raw = conv._cache[4]
+        raw = cached(conv)[4]
         assert raw.dtype == np.float32
         assert raw[0, 0, 1, 1] == 32769
         want = conv2d_ref(sign(x), sign(conv.weight.value), stride=1, pad=1, pad_value=-1.0)

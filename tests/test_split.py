@@ -21,6 +21,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import cached
 from test_tensor import assert_gc_count_flat, channel_last
 
 from bisrnet import bitpack, layers, split
@@ -348,7 +349,7 @@ def test_training_step_does_not_depend_on_workers(monkeypatch):
         for p in layer.params():
             p.zero_grad()
         out = layer.forward(x)
-        raw = layer._cache[4]
+        raw = cached(layer)[4]
         gx = layer.backward(g)
         return np.concatenate([a.ravel().view(np.uint8) for a in
                                [out, raw, gx] + [p.grad for p in layer.params()]])
