@@ -118,14 +118,19 @@ class BitTensor:
     """A {-1,+1} tensor stored 1 bit per element.
 
     words has shape (n, h, w, words_per_row(c)), packed along channels;
-    shape records the logical (n, c, h, w) extent. Words of any other shape
-    raise DimensionError, which numpy would otherwise broadcast.
+    shape records the logical (n, c, h, w) extent. Words that are not a
+    uint64 ndarray raise ArgumentError, naming their dtype, as the kernels
+    would otherwise cast them; words of any other shape raise
+    DimensionError, which numpy would otherwise broadcast.
     """
 
     shape: tuple
     words: np.ndarray
 
     def __post_init__(self):
+        dtype = getattr(self.words, "dtype", type(self.words).__name__)
+        if not isinstance(self.words, np.ndarray) or dtype != np.uint64:
+            raise ArgumentError(f"BitTensor words must be a uint64 ndarray, got {dtype}")
         want = None
         if len(self.shape) == 4:
             n, c, h, w = self.shape

@@ -163,6 +163,8 @@ def crop_augment(cube, mask2d, patch, seed):
     _, h, w = cube.shape
     if mask2d.shape != (h, w):
         raise DimensionError(f"mask {mask2d.shape} does not match scene spatial dims ({h}, {w})")
+    if patch < 1:
+        raise ArgumentError(f"patch must be >= 1, got {patch}")
     if patch > min(h, w):
         raise ArgumentError(f"patch {patch} exceeds scene size {h}x{w}")
     rng = np.random.default_rng(seed)

@@ -4,6 +4,11 @@ The index file lists, one line per parameter in network order:
 
     <name>\t<logical shape>\t<role>\t<filename>
 
+The role is the one each parameter was declared with
+(``layers.Layer._param``): conv_weight, conv_bias, redistribution_gain,
+redistribution_shift, ste_sharpness, rprelu_slope, rprelu_pivot or
+rprelu_offset. ``load_checkpoint`` does not read it.
+
 Arrays are stored flattened as (1, 1, 1, size) .hst tensors; the logical
 shape in the index restores them. Round trips are bit exact for float32
 networks (the working precision).
@@ -17,20 +22,6 @@ from .errors import StateError
 from .hst import read_hst, write_hst
 
 INDEX_NAME = "index.txt"
-
-
-def _role(name):
-    suffix = name.rsplit(".", 1)[-1]
-    return {
-        "weight": "conv_weight",
-        "bias": "conv_bias",
-        "gain": "redistribution_gain",
-        "shift": "redistribution_shift",
-        "alpha": "ste_sharpness",
-        "beta": "rprelu_slope",
-        "gamma": "rprelu_pivot",
-        "zeta": "rprelu_offset",
-    }.get(suffix, "other")
 
 
 def save_checkpoint(net, directory):
@@ -51,7 +42,7 @@ def save_checkpoint(net, directory):
         flat = np.ascontiguousarray(p.value, dtype=np.float32).reshape(1, 1, 1, -1)
         write_hst(os.path.join(directory, fname), flat)
         shape = ",".join(str(s) for s in p.value.shape) or "scalar"
-        lines.append(f"{p.name}\t{shape}\t{_role(p.name)}\t{fname}")
+        lines.append(f"{p.name}\t{shape}\t{p.role}\t{fname}")
     tmp_path = index_path + ".tmp"
     with open(tmp_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -9,8 +9,9 @@ reproduce the outputs bit for bit, then the recorded paths in order. A
 failed command leaves no manifest.
 
 The train flags mirror ``TrainConfig``'s fields (``lr_max`` is
-``--lr-max``), with its types and defaults; the network flags take their
-defaults from ``NetworkConfig``.
+``--lr-max``), with its types and defaults; the network flags, and
+simulate's ``--wavelengths``, take their defaults, choices and part names
+from ``NetworkConfig``.
 
 Arguments can come from a config file via ``@file``. Each line is either
 ``key=value`` or flags split as on the command line (``--steps 3``); a
@@ -83,7 +84,7 @@ def write_manifest(args):
         fh.write("\n".join(lines) + "\n")
 
 
-_PARTS = ("encoder", "bottleneck", "decoder")
+_PARTS = tuple(NetworkConfig().binarize_flags)
 
 
 def network_config_from_args(args):
@@ -111,10 +112,10 @@ def add_network_flags(p):
                    help="number of spectral bands")
     p.add_argument("--binarize", default="all",
                    help=f"comma list of parts ({','.join(_PARTS)}), or all / none")
-    p.add_argument("--ste", choices=["clip", "quad", "tanh"], default=NetworkConfig.ste)
+    p.add_argument("--ste", choices=NetworkConfig.STES, default=NetworkConfig.ste)
     p.add_argument("--no-sr", action="store_true",
                    help="disable the spectral redistribution (gain/shift) stage")
-    p.add_argument("--module-style", choices=["binarized", "normal"],
+    p.add_argument("--module-style", choices=NetworkConfig.MODULE_STYLES,
                    default=NetworkConfig.module_style)
 
 
@@ -166,6 +167,14 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    """Score ``--pred`` against ``--target``, or the network on synthetic
+    scenes.
+
+    Synthetic scene i of ``--seed s`` is drawn from
+    ``SeedSequence(s, spawn_key=(i,))``. ``synthetic_stream`` seeds its
+    training pool with plain integers, and no integer below 2**128 gives
+    that stream, so eval never scores a training scene, at any size.
+    """
     if bool(args.pred) != bool(args.target):
         raise ArgumentError("eval needs --pred and --target together, or neither")
     rows = []
@@ -184,7 +193,8 @@ def cmd_eval(args):
         if args.checkpoint:
             load_checkpoint(net, args.checkpoint)
         scenes = [
-            cassi.synth_scene(args.seed + i, args.height, args.width, cfg.n_wavelengths)
+            cassi.synth_scene(np.random.SeedSequence(args.seed, spawn_key=(i,)), args.height,
+                              args.width, cfg.n_wavelengths)
             for i in range(args.synth_scenes)
         ]
         mask = cassi.random_mask(args.seed + 1000, args.height, args.width)
@@ -268,7 +278,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
-    p.add_argument("--wavelengths", type=int, default=28)
+    p.add_argument("--wavelengths", type=int, default=NetworkConfig.n_wavelengths)
     p.add_argument("--step", type=int, default=2, help="dispersion step in columns per band")
     p.add_argument("--noise", action="store_true", help="inject shot noise")
     p.add_argument("--noise-bit-depth", type=int, default=11)

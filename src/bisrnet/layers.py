@@ -2,7 +2,8 @@
 
 Every layer follows the same small protocol:
 
-    params()            ordered list of Param objects
+    params()            ordered list of Param objects: the layer's own, in
+                        declaration order, then its sub-layers'
     forward(x)
     backward(grad_out)  -> grad wrt the forward input; accumulates into
                            each Param.grad
@@ -24,11 +25,17 @@ A layer owns its cache between a forward and the matching backward; the
 single-writer contract is: never interleave two forwards of one layer
 instance before calling backward.
 
-Every layer derives from :class:`Layer`. A composite lists its sub-layers
-in ``layers``, in parameter order, and the base derives ``params``,
-``param_count`` and ``count_macs`` from them, running them in sequence so
-that each one's output size is the next one's input size. A leaf
-overrides ``params`` and ``count_macs``.
+Every layer derives from :class:`Layer`. A layer declares each Param it
+learns once, through ``Layer._param(suffix, value, role)``, which names it
+``<layer name>.<suffix>``, records the role that the checkpoint index
+writes beside it and appends it to the layer's own parameters; that list
+is what training, the Adam state and the checkpoint see. ``_param`` is
+the only code that builds a Param and only ``Layer`` defines ``params``
+(``tests/test_inference.py`` checks both), so no Param can be left out. A
+composite lists its sub-layers in ``layers``, in parameter order, and the
+base derives ``params``, ``param_count`` and ``count_macs`` from them,
+running them in sequence so that each one's output size is the next
+one's input size. A leaf overrides ``count_macs``.
 
 One rule guards every backward. A forward that keeps a cache hands it to
 ``_save_cache(cache, out)`` once its output ``out`` exists, and the shape
@@ -184,14 +191,16 @@ def surrogate(enabled=True):
 
 
 class Param:
-    """A learnable array plus its gradient accumulator."""
+    """A learnable array, its gradient accumulator and the role that the
+    checkpoint index records for it."""
 
-    __slots__ = ("name", "value", "grad", "min_value")
+    __slots__ = ("name", "value", "grad", "role", "min_value")
 
-    def __init__(self, name, value, min_value=None):
+    def __init__(self, name, value, role, min_value=None):
         self.name = name
         self.value = np.asarray(value)
         self.grad = np.zeros_like(self.value)
+        self.role = role
         self.min_value = min_value
 
     def zero_grad(self):
@@ -283,15 +292,24 @@ def _tile_w(p, w):
 
 
 class Layer:
-    """Base of every layer: parameters and MAC counts gathered from the
-    sub-layers in ``layers``, and the backward-before-forward guard."""
+    """Base of every layer: the layer's own parameters, then those of the
+    sub-layers in ``layers``; MAC counts gathered from the sub-layers; and
+    the backward-before-forward guard."""
 
     name = "layer"
     layers = ()
+    _params = ()
     _cache = None
 
+    def _param(self, suffix, value, role, min_value=None):
+        """Declares the Param ``<name>.<suffix>`` with its checkpoint
+        ``role``, after the ones declared before it, and returns it."""
+        p = Param(f"{self.name}.{suffix}", value, role, min_value)
+        self._params += (p,)
+        return p
+
     def params(self):
-        return [p for layer in self.layers for p in layer.params()]
+        return [*self._params, *(p for layer in self.layers for p in layer.params())]
 
     def param_count(self):
         return sum(p.value.size for p in self.params())
@@ -338,12 +356,9 @@ class _Conv(Layer):
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride, self.pad = stride, pad
         self.name = name
-        self.weight = Param(
-            f"{name}.weight", uniform_fan_in(rng, (c_out, c_in, k, k), c_in * k * k, dtype)
+        self.weight = self._param(
+            "weight", uniform_fan_in(rng, (c_out, c_in, k, k), c_in * k * k, dtype), "conv_weight"
         )
-
-    def params(self):
-        return [self.weight]
 
     def _check_dtype(self, x):
         """Raises ArgumentError unless the input ``x`` has the weight's dtype."""
@@ -495,21 +510,14 @@ class BiSRConv(VanillaBinConv):
     def __init__(self, channels, rng, dtype=np.float32, ste="tanh",
                  redistribute=True, name="bisr"):
         super().__init__(channels, channels, 3, 1, 1, rng, dtype, ste, name)
-        self.redistribute = redistribute
-        self.gain = Param(f"{name}.gain", np.ones(channels, dtype)) if redistribute else None
-        self.shift = Param(f"{name}.shift", np.zeros(channels, dtype)) if redistribute else None
-        self.alpha = (
-            Param(f"{name}.alpha", np.asarray(1.0, dtype), min_value=ALPHA_FLOOR)
-            if ste == "tanh"
-            else None
-        )
-        self.beta = Param(f"{name}.beta", np.full(channels, 0.25, dtype))
-        self.gamma = Param(f"{name}.gamma", np.zeros(channels, dtype))
-        self.zeta = Param(f"{name}.zeta", np.zeros(channels, dtype))
-
-    def params(self):
-        ps = [self.weight, self.gain, self.shift, self.alpha, self.beta, self.gamma, self.zeta]
-        return [p for p in ps if p is not None]
+        if redistribute:
+            self.gain = self._param("gain", np.ones(channels, dtype), "redistribution_gain")
+            self.shift = self._param("shift", np.zeros(channels, dtype), "redistribution_shift")
+        if ste == "tanh":
+            self.alpha = self._param("alpha", np.asarray(1.0, dtype), "ste_sharpness", ALPHA_FLOOR)
+        self.beta = self._param("beta", np.full(channels, 0.25, dtype), "rprelu_slope")
+        self.gamma = self._param("gamma", np.zeros(channels, dtype), "rprelu_pivot")
+        self.zeta = self._param("zeta", np.zeros(channels, dtype), "rprelu_offset")
 
     def _residual_rprelu(self, x, scale, raw):
         """x + rprelu(scale * raw), one block at a time, straight into the
@@ -528,8 +536,11 @@ class BiSRConv(VanillaBinConv):
         256 KiB or when ``x`` is channel-last; otherwise it takes ``x``'s
         memory order. That is the order numpy gives ``x + rprelu(y)``: from
         256 KiB its temporary elision adds x into rprelu's channel-last
-        result in place. Later sums round in memory order, so the golden
-        digests pin this rule.
+        result in place. Later sums round in memory order. The stride
+        checks of ``tests/test_bisr_blocks.py`` and
+        ``test_layers.py::TestBiSRConv::test_output_bytes_and_memory_order_match_reference``
+        pin this rule; the golden digests do not, as they hold with an
+        output that is always channel-last.
         """
         n, c, h, w = x.shape
         if x.nbytes >= _CHANNEL_LAST_BYTES:
@@ -585,10 +596,7 @@ class Conv2dFP(_Conv):
 
     def __init__(self, c_in, c_out, k, stride, pad, rng, dtype=np.float32, name="conv"):
         super().__init__(c_in, c_out, k, stride, pad, rng, dtype, name)
-        self.bias = Param(f"{name}.bias", np.zeros(c_out, dtype))
-
-    def params(self):
-        return [self.weight, self.bias]
+        self.bias = self._param("bias", np.zeros(c_out, dtype), "conv_bias")
 
     def forward(self, x):
         self._check_dtype(x)
@@ -608,7 +616,6 @@ class ConvBlock(Layer):
     """Full-precision residual block: x + conv(leaky(conv(x)))."""
 
     def __init__(self, channels, rng, dtype=np.float32, name="block"):
-        self.channels = channels
         self.name = name
         self.conv1 = Conv2dFP(channels, channels, 3, 1, 1, rng, dtype, f"{name}.conv1")
         self.conv2 = Conv2dFP(channels, channels, 3, 1, 1, rng, dtype, f"{name}.conv2")

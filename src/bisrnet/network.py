@@ -67,8 +67,12 @@ class NetworkConfig:
     ste: backward surrogate for the binarized parts; "quad" selects the
     bounded polynomial (the unbounded variant exists in
     :mod:`bisrnet.binarize` for analysis only). module_style "normal"
-    swaps in the ablation-baseline modules without identity paths.
+    swaps in the ablation-baseline modules without identity paths. The
+    values each of the two may take are ``STES`` and ``MODULE_STYLES``.
     """
+
+    STES = ("clip", "quad", "tanh")
+    MODULE_STYLES = ("binarized", "normal")
 
     base_channels: int = 28
     n_wavelengths: int = 28
@@ -86,10 +90,10 @@ class NetworkConfig:
             )
         if self.n_wavelengths < 1:
             raise ConfigError("n_wavelengths must be positive")
-        if self.ste not in ("clip", "quad", "tanh"):
-            raise ConfigError(f"ste must be clip, quad or tanh, got {self.ste!r}")
-        if self.module_style not in ("binarized", "normal"):
-            raise ConfigError(f"module_style must be binarized or normal, got {self.module_style!r}")
+        for key, choices in (("ste", self.STES), ("module_style", self.MODULE_STYLES)):
+            if getattr(self, key) not in choices:
+                one_of = f"{', '.join(choices[:-1])} or {choices[-1]}"
+                raise ConfigError(f"{key} must be {one_of}, got {getattr(self, key)!r}")
 
     @property
     def layer_ste(self):

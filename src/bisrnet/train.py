@@ -241,6 +241,8 @@ class TrainConfig:
             raise ArgumentError("lr_min must not exceed lr_max")
         if self.steps < 1:
             raise ArgumentError("steps must be >= 1")
+        if self.patch < 1:
+            raise ArgumentError(f"patch must be >= 1, got {self.patch}")
 
 
 def make_sample(scene, mask2d, sys_step, cfg, sample_seed):

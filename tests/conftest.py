@@ -17,7 +17,7 @@ def bisr_reference(x, layer):
     dense reference convolution with -1 padding and mean-|w| scaled sign
     weights, RPReLU in its plain five-temporary form, residual add.
     """
-    if layer.redistribute:
+    if layer.gain is not None:
         xr = layer.gain.value[None, :, None, None] * x + layer.shift.value[None, :, None, None]
     else:
         xr = x

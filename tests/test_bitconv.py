@@ -144,6 +144,18 @@ class TestBitTensorShape:
             BitTensor(shape, np.zeros(words_shape, np.uint64))
         assert str(shape) in str(err.value) and str(words_shape) in str(err.value)
 
+    @pytest.mark.parametrize("words, named", [
+        (np.zeros((1, 1, 1, 1), np.float64), "float64"),
+        (np.zeros((1, 1, 1, 1), np.int8), "int8"),
+        ([[[[0]]]], "list"),
+    ], ids=["float64", "int8", "list"])
+    def test_words_of_another_type_rejected(self, words, named):
+        # Float words of an all-+1 tensor unpacked to all -1, and the
+        # kernel silently cast float and int8 words.
+        with pytest.raises(ArgumentError, match=f"^BitTensor words must be a uint64 ndarray, "
+                                                f"got {named}$"):
+            BitTensor((1, 8, 1, 1), words)
+
     def test_shape_other_than_4d_rejected(self):
         with pytest.raises(DimensionError):
             BitTensor((8, 6, 6), np.zeros((6, 6, 1), np.uint64))

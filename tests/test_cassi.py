@@ -243,3 +243,9 @@ class TestCropAugment:
     def test_patch_too_large(self):
         with pytest.raises(ArgumentError):
             crop_augment(np.zeros((2, 8, 8)), np.zeros((8, 8)), 9, 0)
+
+    @pytest.mark.parametrize("patch", [0, -2])
+    def test_patch_below_one(self, patch):
+        # Slicing would return a (4, 0, 0) cube and a (0, 0) mask.
+        with pytest.raises(ArgumentError, match=f"^patch must be >= 1, got {patch}$"):
+            crop_augment(np.zeros((4, 8, 8)), np.zeros((8, 8)), patch, 0)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -12,11 +13,11 @@ import sys
 import numpy as np
 import pytest
 
-from bisrnet import __version__, cli
+from bisrnet import __version__, cassi, cli
 from bisrnet.cli import build_parser, main
 from bisrnet.hst import write_hst
 from bisrnet.network import NetworkConfig
-from bisrnet.train import TrainConfig
+from bisrnet.train import TrainConfig, synthetic_stream
 
 
 def read_csv(path):
@@ -180,7 +181,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("flag,message", [
         ("--scenes", "scene pool size must be at least 1, got 0"),
         ("--scene-size", "scene dims must be positive, got 8x0x0"),
-    ], ids=["scenes", "scene_size"])
+        ("--patch", "patch must be >= 1, got 0"),
+    ], ids=["scenes", "scene_size", "patch"])
     def test_train_zero_scene_value_fails(self, tmp_path, capsys, flag, message):
         out = tmp_path / "run"
         assert run_cli("train", "--channels", "8", "--wavelengths", "8", "--steps", "1",
@@ -219,6 +221,30 @@ class TestTrainEval:
         assert rc == 0
         rows = read_csv(out / "metrics.csv")
         assert [r[0] for r in rows[1:]] == ["scene0", "scene1", "average"]
+
+    def test_eval_never_scores_a_training_scene(self, tmp_path, monkeypatch):
+        # eval --seed 0..9 against the default pool of 4 scenes of train
+        # --seed 0..9, each pool scene drawn again at eval's size.
+        drawn = []
+        synth_scene = cassi.synth_scene
+
+        def recording(seed, h, w, n_bands):
+            drawn.append(seed)
+            return synth_scene(seed, h, w, n_bands)
+
+        monkeypatch.setattr(cassi, "synth_scene", recording)
+        monkeypatch.setattr(cli, "evaluate", lambda net, scenes, sys_: ([("s", 0.0, 0.0)], None))
+        for seed in range(10):
+            assert run_cli("eval", "--channels", "4", "--wavelengths", "4", "--seed", str(seed),
+                           "--height", "8", "--width", "8", "--out", str(tmp_path)) == 0
+        eval_seeds, drawn[:] = drawn[:], []
+        for seed in range(10):
+            synthetic_stream(4, TrainConfig(seed=seed, patch=4))
+        assert len(eval_seeds) == 20 and len(drawn) == 40
+        pool = [synth_scene(s, 8, 8, 4) for s in drawn]
+        for s in eval_seeds:
+            scene = synth_scene(s, 8, 8, 4)
+            assert not any(np.array_equal(scene, p) for p in pool)
 
     @pytest.mark.parametrize("given", ["--pred", "--target"])
     def test_eval_half_given_pair_fails(self, tmp_path, capsys, given):
@@ -362,6 +388,16 @@ class TestSettings:
             got, want = getattr(args, f.name), getattr(TrainConfig(), f.name)
             assert (got, type(got)) == (want, type(want)), f.name
         assert cli.network_config_from_args(args) == NetworkConfig()
+        simulate = build_parser().parse_args(["simulate", "--out", "o"])
+        assert simulate.wavelengths == NetworkConfig.n_wavelengths
+
+    def test_network_choices_are_the_configs(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("train", "eval", "count"):
+            choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+            assert choices["ste"] == NetworkConfig.STES
+            assert choices["module_style"] == NetworkConfig.MODULE_STYLES
 
     @pytest.mark.parametrize("spec, want", [
         ("all", (True, True, True)),

@@ -16,6 +16,10 @@ the call, and static checks keep every layer's forward taking only its
 input and the switch read and set in one place each.
 
 Both switches restore their setting on exit and stay in the calling thread.
+
+One more static check keeps ``Layer._param`` the only code that builds a
+Param and ``Layer`` the only layer class that defines ``params``, so every
+parameter, its order and its checkpoint role come from one declaration.
 """
 
 import ast
@@ -290,6 +294,27 @@ def test_surrogate_switch_is_read_and_set_in_one_place_each():
     assert package_scopes_where(touches_surrogate_switch) == [
         "layers", "layers.surrogate", "layers.VanillaBinConv._binconv", "network.Network.forward",
     ]
+
+
+def calls_param(node):
+    """A call of anything named ``Param``."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None)) == "Param"
+
+
+def names_role(node):
+    """A definition of, or a name or attribute reading, ``_role``."""
+    return (getattr(node, "name", None) == "_role" or getattr(node, "id", None) == "_role"
+            or getattr(node, "attr", None) == "_role")
+
+
+def test_every_param_is_declared_through_one_method():
+    # Layer._param builds every Param, so params() lists each one with its
+    # role, and no layer keeps a params() list of its own.
+    assert package_scopes_where(calls_param) == ["layers.Layer._param"]
+    assert [name for name, cls in vars(layers).items()
+            if isinstance(cls, type) and "params" in vars(cls)] == ["Layer"]
+    assert package_scopes_where(names_role) == []
 
 
 def test_every_layer_forward_takes_only_its_input():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -24,6 +25,8 @@ from bisrnet.train import (
     synthetic_stream,
     train,
 )
+
+from test_golden import CONFIGS
 
 
 class TestRmseLoss:
@@ -68,7 +71,7 @@ class TestRmseLoss:
 
 class TestAdam:
     def make_param(self, value):
-        return Param("p", np.asarray(value, dtype=np.float32))
+        return Param("p", np.asarray(value, dtype=np.float32), "conv_weight")
 
     def test_zero_grad_no_move(self):
         p = self.make_param([1.0, -2.0])
@@ -86,7 +89,7 @@ class TestAdam:
         np.testing.assert_allclose(p.value, [1.0 - 0.01, 1.0 + 0.01], rtol=1e-5)
 
     def test_min_value_clamp(self):
-        p = Param("alpha", np.asarray(0.0011, dtype=np.float32), min_value=1e-3)
+        p = Param("alpha", np.asarray(0.0011, dtype=np.float32), "ste_sharpness", min_value=1e-3)
         p.grad[...] = 100.0
         state = AdamState.for_params([p])
         adam_step([p], state, lr=0.5)
@@ -357,6 +360,39 @@ class TestTrainLoop:
             evaluate(tiny_net(seed=1), [], sys)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("patch", [0, -1])
+    def test_patch_below_one_rejected(self, patch):
+        with pytest.raises(ArgumentError, match=f"^patch must be >= 1, got {patch}$"):
+            TrainConfig(patch=patch)
+
+
+# The checkpoint role of each parameter name's last part.
+ROLES = {
+    "weight": "conv_weight",
+    "bias": "conv_bias",
+    "gain": "redistribution_gain",
+    "shift": "redistribution_shift",
+    "alpha": "ste_sharpness",
+    "beta": "rprelu_slope",
+    "gamma": "rprelu_pivot",
+    "zeta": "rprelu_offset",
+}
+
+# SHA-256 of index.txt for each golden config at C=8 on 8 bands, recorded
+# before each layer declared its parameters through Layer._param.
+INDEX_DIGESTS = {
+    "bisrnet": "cf4884d28d54f29ae080ab71158febd5f461014b11bc5bbce2425d2361d272d6",
+    "normal": "f678a4d8ef258807e93513228e3fd23dea1488e60651895e7305b4c3b2bb6cbd",
+    "base": "b13ab24f9605262e5d90ee876888193d60d2ee5c5a9bd30101e956aecfa0bbb5",
+    "mixed_enc_dec": "da3f2ea253504e69f8a7332c3bdd8743b3904a606be2eeafa0d9c2a7caf5dac3",
+    "mixed_dec": "8981798e2b52f7922db854e51154076b83cdb3a08b97abd72a4d398ec159083e",
+    "ste_clip": "b146e0313702c995dd52ae7e538f0e740f900658fb363cb75140c39edbab72b8",
+    "ste_quad": "b146e0313702c995dd52ae7e538f0e740f900658fb363cb75140c39edbab72b8",
+    "no_redistribution": "0db99698bb118d96aca8647eaadd9d05498ce03ebffe20a8fc789841554d8eb9",
+}
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = tiny_net(seed=5)
@@ -427,12 +463,25 @@ class TestCheckpoint:
         save_checkpoint(net, tmp_path / "ckpt")
         names = [f"{i:04d}.hst" for i in range(len(params))]
         assert sorted(os.listdir(tmp_path / "ckpt")) == names + ["index.txt"]
-        lines = (tmp_path / "ckpt" / "index.txt").read_text().splitlines()
-        assert [line.split("\t")[0] for line in lines] == [p.name for p in params]
-        assert [line.split("\t")[3] for line in lines] == names
+        index = (tmp_path / "ckpt" / "index.txt").read_text()
+        rows = [line.split("\t") for line in index.splitlines()]
+        assert [row[0] for row in rows] == [p.name for p in params]
+        assert [row[1] for row in rows] == [
+            ",".join(str(s) for s in p.value.shape) or "scalar" for p in params
+        ]
+        assert [row[2] for row in rows] == [ROLES[p.name.rsplit(".", 1)[1]] for p in params]
+        assert [row[3] for row in rows] == names
+        assert "scalar" in [row[1] for row in rows]
+        assert {row[2] for row in rows} == set(ROLES.values())
         for p, fname in zip(params, names):
             stored = read_hst(tmp_path / "ckpt" / fname)
             np.testing.assert_array_equal(stored.reshape(p.value.shape), p.value)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_index_bytes_of_every_golden_config(self, tmp_path, name):
+        save_checkpoint(build(CONFIGS[name](base_channels=8, n_wavelengths=8), seed=0), tmp_path)
+        digest = hashlib.sha256((tmp_path / "index.txt").read_bytes()).hexdigest()
+        assert digest == INDEX_DIGESTS[name]
 
     def test_failed_save_leaves_no_index(self, tmp_path, monkeypatch):
         save_checkpoint(tiny_net(seed=5), tmp_path / "ckpt")
