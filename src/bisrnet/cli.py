@@ -218,6 +218,8 @@ def cmd_count(args):
 
 
 def cmd_ste_analyze(args):
+    if args.points < 1:
+        raise ArgumentError(f"--points must be >= 1, got {args.points}")
     kinds = list(STE_KINDS) if args.ste == "all" else [args.ste]
     xs = np.linspace(-args.half_width, args.half_width, args.points)
     curve_rows = []
@@ -353,6 +355,8 @@ def main(argv=None):
     args.argv = sys.argv[1:] if argv is None else argv
     args.outputs = []
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
         if args.outputs:
             write_manifest(args)

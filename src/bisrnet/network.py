@@ -3,13 +3,16 @@
 Layout (channels, with C the base width and 2 downsample stages):
 
     input concat(H, M) [2*n_wavelengths]
-      -> embedding: conv1x1 -> conv block          (C, always full precision)
-      -> encoder:   block(C) -> down -> block(2C) -> down
+      -> embedding: proj conv1x1 -> refine block   = xs (C, always full precision)
+      -> encoder:   block1(C) = s1 -> down1 -> block2(2C) = s2 -> down2
       -> bottleneck: block(4C)
-      -> decoder:   up -> skip concat -> fuse -> block(2C)
-                    up -> skip concat -> fuse -> block(C)
-      -> + shallow feature (global residual)
-      -> mapping: conv1x1                          (n_wavelengths, full precision)
+      -> decoder:   up1 -> concat s2 -> fuse1 -> block1(2C)
+                    up2 -> concat s1 -> fuse2 -> block2(C) = xd
+      -> xs + xd (global residual)
+      -> mapping: proj conv1x1                     (n_wavelengths, full precision)
+
+``Network.forward`` runs these modules in this order, and ``backward``
+runs them in reverse.
 
 The encoder/bottleneck/decoder can each be swapped for binarized
 counterparts independently; the embedding and mapping stages always stay
@@ -210,34 +213,24 @@ class Network:
             return NormalFuse(c_skip_in, c_out, rng, dtype, ste, name)
 
         be, bb, bd = cfg.binarize_encoder, cfg.binarize_bottleneck, cfg.binarize_decoder
-        # The skip width of each U level, outermost first, and the channels
-        # its upsample returns: the fp upsample keeps its input's 2c, the
-        # binarized one halves it.
-        widths = (C, 2 * C)
-        up_out = [c if bd else 2 * c for c in widths]
+        # The channels that up1 and up2 return: the fp upsample keeps its
+        # input's width, the binarized one halves it. Each fuse takes them
+        # concatenated with its skip.
+        self._up_channels = u1, u2 = (2 * C, C) if bd else (4 * C, 2 * C)
 
         # The parts in parameter order, which is also the rng's draw order.
         self._parts = {
             "embedding": [Chain([Conv2dFP(2 * NL, C, 1, 1, 0, rng, dtype, "embedding.proj"),
                                  ConvBlock(C, rng, dtype, "embedding.refine")], "embedding")],
-            "encoder": [layer for i, c in enumerate(widths, 1)
-                        for layer in (block(c, be, f"encoder.block{i}"),
-                                      down(c, be, f"encoder.down{i}"))],
+            "encoder": [block(C, be, "encoder.block1"), down(C, be, "encoder.down1"),
+                        block(2 * C, be, "encoder.block2"), down(2 * C, be, "encoder.down2")],
             "bottleneck": [block(4 * C, bb, "bottleneck.block")],
-            "decoder": [layer for i, c, u in zip((1, 2), widths[::-1], up_out[::-1])
-                        for layer in (up(2 * c, bd, f"decoder.up{i}"),
-                                      fuse(u + c, c, bd, f"decoder.fuse{i}"),
-                                      block(c, bd, f"decoder.block{i}"))],
+            "decoder": [
+                up(4 * C, bd, "decoder.up1"), fuse(u1 + 2 * C, 2 * C, bd, "decoder.fuse1"),
+                block(2 * C, bd, "decoder.block1"), up(2 * C, bd, "decoder.up2"),
+                fuse(u2 + C, C, bd, "decoder.fuse2"), block(C, bd, "decoder.block2")],
             "mapping": [Conv2dFP(C, NL, 1, 1, 0, rng, dtype, "mapping.proj")],
         }
-
-        # The U levels, outermost first: encoder block and downsample, then
-        # the decoder's upsample, skip fusion and block at the same
-        # resolution, and the upsample's output channels.
-        enc, dec = self._parts["encoder"], self._parts["decoder"]
-        enc_levels = zip(enc[0::2], enc[1::2])
-        dec_levels = list(zip(dec[0::3], dec[1::3], dec[2::3]))[::-1]
-        self._levels = [(*e, *d, u) for e, d, u in zip(enc_levels, dec_levels, up_out)]
 
     def part_layers(self, part):
         return self._parts[part]
@@ -272,35 +265,32 @@ class Network:
             )
         _check_spatial(*h_shifted.shape[2:])
 
+        (embedding,), (enc1, down1, enc2, down2), (bottleneck,), \
+            (up1, fuse1, dec1, up2, fuse2, dec2), (mapping,) = self._parts.values()
         with layers.surrogate(surrogate):
-            xs = self._parts["embedding"][0].forward(concat_channels(h_shifted, m_shifted))
-            xd = self._level_forward(self._levels, xs)
-            return self._parts["mapping"][0].forward(xs + xd)
+            xs = embedding.forward(concat_channels(h_shifted, m_shifted))
+            s1 = enc1.forward(xs)
+            s2 = enc2.forward(down1.forward(s1))
+            x = bottleneck.forward(down2.forward(s2))
+            x = dec1.forward(fuse1.forward(concat_channels(up1.forward(x), s2)))
+            xd = dec2.forward(fuse2.forward(concat_channels(up2.forward(x), s1)))
+            return mapping.forward(xs + xd)
 
     def backward(self, grad_out):
-        gsum = self._parts["mapping"][0].backward(grad_out)  # grad wrt xs + xd
-        gxs = self._level_backward(self._levels, gsum) + gsum
-        return split_channels(self._parts["embedding"][0].backward(gxs), self.cfg.n_wavelengths)
-
-    def _level_forward(self, levels, x):
-        """Runs the outermost of ``levels`` around the inner ones; the
-        bottleneck sits inside the innermost."""
-        if not levels:
-            return self._parts["bottleneck"][0].forward(x)
-        enc, down, up, fuse, dec, _ = levels[0]
-        skip = enc.forward(x)
-        inner = self._level_forward(levels[1:], down.forward(skip))
-        u = up.forward(inner)
-        return dec.forward(fuse.forward(concat_channels(u, skip)))
-
-    def _level_backward(self, levels, grad):
-        """Backward of :meth:`_level_forward` for the same ``levels``."""
-        if not levels:
-            return self._parts["bottleneck"][0].backward(grad)
-        enc, down, up, fuse, dec, up_channels = levels[0]
-        gu, gskip = split_channels(fuse.backward(dec.backward(grad)), up_channels)
-        ginner = self._level_backward(levels[1:], up.backward(gu))
-        return enc.backward(down.backward(ginner) + gskip)
+        (embedding,), (enc1, down1, enc2, down2), (bottleneck,), \
+            (up1, fuse1, dec1, up2, fuse2, dec2), (mapping,) = self._parts.values()
+        u1, u2 = self._up_channels
+        gsum = mapping.backward(grad_out)  # grad wrt xs + xd
+        gu2, gs1 = split_channels(fuse2.backward(dec2.backward(gsum)), u2)
+        gu1, gs2 = split_channels(fuse1.backward(dec1.backward(up2.backward(gu2))), u1)
+        g = bottleneck.backward(up1.backward(gu1))
+        # Each sum's left operand stays an unnamed temporary, which numpy
+        # adds into in place (temporary elision). That fixes the sum's
+        # memory order, and with it the bytes of later per-channel
+        # reductions: naming it moves the golden grads digests.
+        g = enc2.backward(down2.backward(g) + gs2)
+        gxs = enc1.backward(down1.backward(g) + gs1) + gsum
+        return split_channels(embedding.backward(gxs), self.cfg.n_wavelengths)
 
     def count(self, input_h=256, input_w=256):
         """Per-part parameter and conv-MAC accounting at a given input size."""

@@ -98,6 +98,26 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--synth", "--height", "8", "--width", "8"),
+        ("train", "--channels", "8", "--wavelengths", "8", "--steps", "1", "--batch", "1",
+         "--patch", "16"),
+        ("eval", "--channels", "8", "--wavelengths", "8", "--height", "24", "--width", "24"),
+        ("pack-bench", "--shape", "1,8,4,4"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_fails_naming_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (out / "manifest.txt").exists()
+
+    def test_seed_commands_are_those_tested(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        seeded = {name for name, p in sub.choices.items()
+                  if any(a.dest == "seed" for a in p._actions)}
+        assert seeded == {"simulate", "train", "eval", "pack-bench"}
+
 
 class TestCount:
     def test_table_shape_and_totals(self, capsys):
@@ -142,6 +162,13 @@ class TestSteAnalyze:
         rows = read_csv(out / "ste_curves.csv")
         kinds = {r[0] for r in rows[1:]}
         assert kinds == {"clip", "quad", "quad_bounded", "tanh"}
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_fails(self, tmp_path, capsys, points):
+        out = tmp_path / "ste"
+        assert run_cli("ste-analyze", "--points", points, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: --points must be >= 1, got {points}\n"
+        assert not out.exists()
 
 
 class TestPackBench:

@@ -7,6 +7,7 @@ from bisrnet.errors import ArgumentError, ConfigError, DimensionError, StateErro
 from bisrnet.network import (
     OPS_DIVISOR,
     PARAMS_DIVISOR,
+    PART_NAMES,
     Accounting,
     NetworkConfig,
     PartCount,
@@ -14,6 +15,7 @@ from bisrnet.network import (
 )
 
 from conftest import finite_difference_check
+from test_golden import CONFIGS, digest
 
 
 def tiny_cfg(**kw):
@@ -242,6 +244,46 @@ class TestBackward:
         targets = [(p.value, p.grad, p.name) for p in net.params()]
         targets += [(h_in, gh, "h_input"), (m_in, gm, "m_input")]
         finite_difference_check(loss, targets, rng, n_coords=2, rtol=1e-3)
+
+
+class TestCallOrder:
+    """The benchmark's tracer times each ``part_layers`` instance as a span
+    of its part, which holds only if one forward runs each of them once, in
+    the order of the U, and one backward runs them once in reverse."""
+
+    ORDER = ("embedding", "encoder.block1", "encoder.down1", "encoder.block2",
+             "encoder.down2", "bottleneck.block", "decoder.up1", "decoder.fuse1",
+             "decoder.block1", "decoder.up2", "decoder.fuse2", "decoder.block2", "mapping.proj")
+
+    @staticmethod
+    def run(net):
+        """Digests of one forward and backward on inputs large enough for
+        channel-last BiSRConv outputs."""
+        rng = np.random.default_rng(9)
+        h_in, m_in = tiny_inputs(rng, nl=8, h=96, w=96, n=2)
+        out = net.forward(h_in, m_in)
+        net.zero_grads()
+        grad_in = net.backward(rng.standard_normal(out.shape).astype(np.float32))
+        return digest(out), digest(*grad_in), digest(*(p.grad for p in net.params()))
+
+    @pytest.mark.parametrize("name", ["bisrnet", "normal", "base"])
+    def test_each_part_layer_runs_once_in_order(self, name):
+        def cfg():
+            return CONFIGS[name](base_channels=8, n_wavelengths=8)
+
+        net = build(cfg(), seed=4)
+        calls = []
+        for part in PART_NAMES:
+            for layer in net.part_layers(part):
+                for meth in ("forward", "backward"):
+                    def wrapped(*args, _call=getattr(layer, meth), _key=(meth, layer.name)):
+                        calls.append(_key)
+                        return _call(*args)
+                    setattr(layer, meth, wrapped)
+        traced = self.run(net)
+        assert calls == ([("forward", n) for n in self.ORDER]
+                         + [("backward", n) for n in reversed(self.ORDER)])
+        assert traced == self.run(build(cfg(), seed=4))
 
 
 class TestAccounting:
